@@ -19,7 +19,8 @@ from conftest import write_result
 from repro.programs.registry import get_program
 from repro.variants.builder import VariantBuilder
 from repro.variants.dispatch import VariantSelector
-from repro.variants.runner import PRESERVED, _run_one, run_partisan
+from repro.fuzz.executor import PRESERVED, run_input
+from repro.variants.runner import run_partisan
 from repro.variants.spec import FAMILY_CLEAN, FAMILY_COVERAGE, FAMILY_SANITIZED
 
 import pytest
@@ -117,7 +118,7 @@ def test_variant_cost_ladder():
         total = 0
         for data in inputs:
             vm = builder.make_vm(selector=VariantSelector({family: 1.0}))
-            total += _run_one(vm, data).cycles
+            total += run_input(vm, data).cycles
         return total
 
     cycles = {

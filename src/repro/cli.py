@@ -43,14 +43,12 @@ from typing import List, Optional
 
 from repro.core.engine import Odin
 from repro.core.variants import VARIANT_LABELS
-from repro.fuzz.executor import OdinCovExecutor
+from repro.fuzz.executor import PRESERVED, OdinCovExecutor, run_input
 from repro.fuzz.fuzzer import Fuzzer
 from repro.instrument.coverage import OdinCov
 from repro.programs.registry import all_programs, get_program
 from repro.toolchain import build_module
 from repro.vm.interpreter import VM
-
-PRESERVED = ("main", "run_input")
 
 
 def cmd_list(_args) -> int:
@@ -69,10 +67,7 @@ def cmd_run(args) -> int:
           f"cycles={smoke.cycles}")
     total = 0
     for seed in program.seeds(args.seed):
-        vm.reset()
-        addr = vm.alloc(len(seed) + 1)
-        vm.write_bytes(addr, seed)
-        result = vm.run("run_input", (addr, len(seed)), reset=False)
+        result = run_input(vm, seed)
         total += result.cycles
         status = result.trap or "ok"
         print(f"  seed[{len(seed):>4}B] -> {result.exit_code:>12} ({status}, "
@@ -214,13 +209,28 @@ def cmd_selffuzz(args) -> int:
 DEFAULT_CHECK_PROGRAMS = ("libjpeg", "lcms")
 
 
+def _print_reports(reports, note: Optional[str] = None) -> int:
+    """Print replay reports as they arrive, an optional note, then
+    PASS/FAIL."""
+    failed = False
+    for report in reports:
+        print("\n".join(report.lines()))
+        failed = failed or not report.ok
+    if note:
+        print(note)
+    print("FAIL" if failed else "PASS")
+    return 1 if failed else 0
+
+
 def cmd_check(args) -> int:
     """Differential rebuild oracle + fault injection + invariants."""
     from repro.check import (
-        DifferentialOracle,
+        check_clean_dispatch,
         generate_schedules,
+        rebuild_replay,
         run_fault_checks,
         run_invariant_checks,
+        tier_replay,
     )
 
     programs = [
@@ -237,31 +247,20 @@ def cmd_check(args) -> int:
         # patch-only, memo-only and full paths and demand byte/behaviour
         # equivalence.  Replaces the ordinary oracle run — three engines
         # per schedule is the expensive part, not the oracle around it.
-        from repro.check import TierSweep
-
-        failed = False
-        for program in programs:
-            sweep = TierSweep(program, max_inputs=args.max_inputs)
-            report = sweep.run(schedules)
-            print(report.summary())
-            for mismatch in report.mismatches:
-                print(f"  DIVERGENCE {mismatch}")
-            failed = failed or not report.ok
-        print("FAIL" if failed else "PASS")
-        return 1 if failed else 0
+        return _print_reports(
+            tier_replay(program, max_inputs=args.max_inputs).run(schedules)
+            for program in programs
+        )
     failed = False
     for program in programs:
-        oracle = DifferentialOracle(
+        report = rebuild_replay(
             program,
-            use_service=args.service,
+            service=args.service,
             workers=args.workers,
             worker_mode=args.mode,
             max_inputs=args.max_inputs,
-        )
-        report = oracle.run(schedules)
-        print(report.summary())
-        for mismatch in report.mismatches:
-            print(f"  MISMATCH {mismatch}")
+        ).run(schedules)
+        print("\n".join(report.lines()))
         failed = failed or not report.ok
 
         invariant_failures = run_invariant_checks(program)
@@ -274,14 +273,10 @@ def cmd_check(args) -> int:
                   f"(back propagation, content-key determinism)")
 
         if not args.no_variants:
-            from repro.variants import check_clean_dispatch
-
             variant_report = check_clean_dispatch(
                 program, seed=args.seed, max_inputs=args.max_inputs
             )
-            print(variant_report.summary())
-            for mismatch in variant_report.mismatches:
-                print(f"  VARIANT {mismatch}")
+            print("\n".join(variant_report.lines()))
             failed = failed or not variant_report.ok
 
     if not args.no_faults:
@@ -304,7 +299,7 @@ DEFAULT_CHAOS_PROGRAMS = ("lcms",)
 
 def cmd_chaos(args) -> int:
     """Seeded chaos harness: fault-injected service runs vs the oracle."""
-    from repro.check.chaos import ChaosRunner, generate_chaos_schedules
+    from repro.check import chaos_replay, generate_chaos_schedules
 
     programs = [
         get_program(name) for name in (args.programs or DEFAULT_CHAOS_PROGRAMS)
@@ -316,34 +311,23 @@ def cmd_chaos(args) -> int:
         max_faults=args.max_faults,
         max_steps=args.max_steps,
     )
-    failed = False
-    reports = []
-    for program in programs:
-        runner = ChaosRunner(
+    reports = [
+        chaos_replay(
             program,
             workers=args.workers,
             worker_mode=args.mode,
             max_inputs=args.max_inputs,
-        )
-        report = runner.run(schedules, args.seed)
-        reports.append(report)
-        print(report.summary())
-        for outcome in report.outcomes:
-            print(f"  {outcome.schedule.describe()}: "
-                  f"{outcome.replies} replies, {outcome.shed} shed, "
-                  f"{outcome.worker_restarts} restarts, "
-                  f"{outcome.quarantined} quarantined"
-                  + ("" if outcome.ok else "  FAILED"))
-        for failure in report.failures:
-            print(f"  CHAOS {failure}")
-        failed = failed or not report.ok
+        ).run(schedules, seed=args.seed)
+        for program in programs
+    ]
     if args.report_json:
         payload = [report.to_dict() for report in reports]
         with open(args.report_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"chaos report written to {args.report_json}")
-    print("FAIL" if failed else "PASS")
-    return 1 if failed else 0
+        return _print_reports(
+            reports, f"chaos report written to {args.report_json}"
+        )
+    return _print_reports(reports)
 
 
 DEFAULT_CLUSTER_PROGRAMS = ("json", "lcms")
@@ -351,39 +335,31 @@ DEFAULT_CLUSTER_PROGRAMS = ("json", "lcms")
 
 def cmd_cluster(args) -> int:
     """Sharded multi-tenant cluster chaos sweep with recovery oracle."""
-    from repro.check.chaos import run_cluster_chaos
+    from repro.check import cluster_replay, generate_cluster_chaos_schedules
 
     programs = [
         get_program(name)
         for name in (args.programs or DEFAULT_CLUSTER_PROGRAMS)
     ]
-    report = run_cluster_chaos(
+    report = cluster_replay(
         programs,
-        schedules=args.schedules,
-        seed=args.seed,
         shards=args.shards,
         tenants=args.tenants,
         max_inputs=args.max_inputs,
         reply_timeout_s=args.reply_timeout,
+    ).run(
+        generate_cluster_chaos_schedules(
+            args.schedules, args.seed, tenants=args.tenants
+        ),
+        seed=args.seed,
     )
-    print(report.summary())
-    for outcome in report.outcomes:
-        shed = sum(t.shed_quota + t.shed_deadline for t in outcome.tenants)
-        print(f"  {outcome.schedule.describe()}: "
-              f"{sum(outcome.injected.values())} faults, "
-              f"{outcome.failovers} failovers, "
-              f"{outcome.migrations} migrated, "
-              f"{outcome.resubmits} resubmits, {shed} shed, "
-              f"{outcome.live_shards} shards live"
-              + ("" if outcome.ok else "  FAILED"))
-    for failure in report.failures:
-        print(f"  CLUSTER {failure}")
     if args.report_json:
         with open(args.report_json, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-        print(f"cluster report written to {args.report_json}")
-    print("FAIL" if not report.ok else "PASS")
-    return 0 if report.ok else 1
+        return _print_reports(
+            [report], f"cluster report written to {args.report_json}"
+        )
+    return _print_reports([report])
 
 
 DEFAULT_PARTISAN_PROGRAMS = ("json", "lcms", "libjpeg")
@@ -391,7 +367,8 @@ DEFAULT_PARTISAN_PROGRAMS = ("json", "lcms", "libjpeg")
 
 def cmd_partisan(args) -> int:
     """Run-time partitioned sanitization under an overhead budget."""
-    from repro.variants import check_clean_dispatch, run_partisan
+    from repro.check import check_clean_dispatch
+    from repro.variants import run_partisan
 
     programs = [
         get_program(name)
@@ -433,9 +410,7 @@ def cmd_partisan(args) -> int:
     if not args.no_check:
         for program in programs:
             variant_report = check_clean_dispatch(program, seed=args.seed)
-            print(variant_report.summary())
-            for mismatch in variant_report.mismatches:
-                print(f"  VARIANT {mismatch}")
+            print("\n".join(variant_report.lines()))
             failed = failed or not variant_report.ok
 
     if args.report_json:

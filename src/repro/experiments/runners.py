@@ -20,14 +20,13 @@ from repro.fuzz.executor import (
     LibInstExecutor,
     OdinCovExecutor,
     PlainExecutor,
+    PRESERVED,
     SanCovExecutor,
 )
 from repro.instrument.coverage import OdinCov
 from repro.instrument.sancov import build_sancov
 from repro.programs.registry import TargetProgram
 from repro.toolchain import build_module
-
-PRESERVED = ("main", "run_input")
 
 # Tool names, in the paper's figure order.
 TOOL_ODINCOV = "OdinCov"

@@ -21,6 +21,17 @@ from repro.linker.linker import Executable
 from repro.vm.interpreter import ExecutionResult, VM
 
 ENTRY = "run_input"
+# Symbols every harness keeps external: the smoke entry and ENTRY.
+PRESERVED = ("main", ENTRY)
+
+
+def run_input(vm: VM, data: bytes) -> ExecutionResult:
+    """The corpus protocol: fresh VM state, *data* copied into guest
+    memory, then ``ENTRY(addr, len)``."""
+    vm.reset()
+    addr = vm.alloc(max(len(data), 1) + 1)
+    vm.write_bytes(addr, data)
+    return vm.run(ENTRY, (addr, len(data)), reset=False)
 
 
 @dataclass
@@ -40,10 +51,7 @@ class Executor:
         raise NotImplementedError
 
     def _run_vm(self, vm: VM, data: bytes) -> ExecutionResult:
-        vm.reset()
-        addr = vm.alloc(max(len(data), 1) + 1)
-        vm.write_bytes(addr, data)
-        result = vm.run(ENTRY, (addr, len(data)), reset=False)
+        result = run_input(vm, data)
         self.executions += 1
         self.total_cycles += result.cycles
         return result

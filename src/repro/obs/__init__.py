@@ -11,8 +11,7 @@ scattered across the engine, the fuzzer and the service:
   per-pass) -> link``.
 * :mod:`repro.obs.metrics` — the shared :class:`MetricsRegistry`
   (counters, gauges, latency percentiles with a deterministic
-  whole-lifetime reservoir).  ``repro.service.metrics`` re-exports it as
-  ``ServiceMetrics`` for backward compatibility.
+  whole-lifetime reservoir).
 * :mod:`repro.obs.trace` — Chrome ``trace_event`` JSON export (load the
   file in ``chrome://tracing`` / Perfetto) plus a text flame summary;
   surfaced as ``repro trace <program>`` and ``--trace-out`` on
@@ -22,7 +21,6 @@ scattered across the engine, the fuzzer and the service:
 from repro.obs.metrics import (
     LatencyStat,
     MetricsRegistry,
-    ServiceMetrics,
     format_stats,
 )
 from repro.obs.trace import (
@@ -39,7 +37,6 @@ from repro.obs.tracer import Span, Tracer
 __all__ = [
     "LatencyStat",
     "MetricsRegistry",
-    "ServiceMetrics",
     "Span",
     "Tracer",
     "flame_summary",

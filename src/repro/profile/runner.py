@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.engine import Odin
+from repro.fuzz.executor import PRESERVED, run_input
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.programs.registry import TargetProgram
@@ -31,9 +32,6 @@ from repro.profile.controller import (
 )
 from repro.profile.tool import Profiler
 from repro.vm.interpreter import VM
-
-ENTRY = "run_input"
-PRESERVED = ("main", "run_input")
 
 
 @dataclass
@@ -119,14 +117,6 @@ class ProfileRun:
     metrics: MetricsRegistry
 
 
-def _run_one(vm: VM, data: bytes):
-    """One execution using the corpus protocol shared with the fuzzer."""
-    vm.reset()
-    addr = vm.alloc(max(len(data), 1) + 1)
-    vm.write_bytes(addr, data)
-    return vm.run(ENTRY, (addr, len(data)), reset=False)
-
-
 def run_profile(
     program: TargetProgram,
     *,
@@ -152,7 +142,7 @@ def run_profile(
     clean.initial_build()
     baseline: List[int] = []
     for data in inputs:
-        baseline.append(_run_one(VM(clean.executable), data).cycles)
+        baseline.append(run_input(VM(clean.executable), data).cycles)
 
     engine = Odin(program.compile(), preserve=PRESERVED, tracer=tracer)
     tool = Profiler(engine, metrics=metrics)
@@ -179,7 +169,7 @@ def run_profile(
             # The controller toggled probes and relinked mid-run.
             exe = engine.executable
             vm = tool.make_vm()
-        result = _run_one(vm, inputs[i % len(inputs)])
+        result = run_input(vm, inputs[i % len(inputs)])
         tool.runtime.finish_execution(result.cycles)
         base = baseline[i % len(inputs)]
         baseline_total += base

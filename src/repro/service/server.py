@@ -45,7 +45,7 @@ from repro.core.engine import Odin, RebuildReport
 from repro.errors import ReproError, ScheduleError
 from repro.ir.module import Module
 from repro.linker.cache import LinkCache
-from repro.obs.metrics import ServiceMetrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import stage_totals
 from repro.obs.tracer import CAT_FAULT, CAT_SERVICE, Tracer
 from repro.service.cache import (
@@ -108,7 +108,7 @@ class RecompilationService:
         cache_dir: Optional[str] = None,
         cache_max_bytes: int = 64 * 1024 * 1024,
         link_cache_entries: int = 32,
-        metrics: Optional[ServiceMetrics] = None,
+        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         poll_interval_s: float = 0.02,
         supervise: bool = True,
@@ -140,7 +140,7 @@ class RecompilationService:
             self.pass_memo = PassMemoCache()
         else:
             self.pass_memo = pass_memo
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = metrics or MetricsRegistry()
         # One tracer shared by every target engine and the dispatcher:
         # rebuild span trees nest under the dispatch ("service.batch")
         # spans of the thread that executed them.

@@ -19,7 +19,6 @@ from repro.variants.dispatch import (
     MODE_PER_EXECUTION,
     VariantSelector,
 )
-from repro.variants.oracle import CleanDispatchReport, check_clean_dispatch
 from repro.variants.runner import PartisanReport, PartisanRun, run_partisan
 from repro.variants.spec import (
     FAMILY_CLEAN,
@@ -31,11 +30,11 @@ from repro.variants.spec import (
 )
 
 __all__ = [
-    "BudgetController", "CleanDispatchReport", "ControllerConfig",
+    "BudgetController", "ControllerConfig",
     "FAMILY_CLEAN", "FAMILY_COVERAGE", "FAMILY_SANITIZED", "FamilyBuild",
     "MODE_PER_CALL", "MODE_PER_EXECUTION",
     "PartisanReport", "PartisanRun",
     "VariantBuilder", "VariantFamily", "VariantSelector", "VariantSpec",
     "WindowReport",
-    "check_clean_dispatch", "default_spec", "run_partisan",
+    "default_spec", "run_partisan",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.fuzz.executor import PRESERVED, run_input
 from repro.instrument.asan import ASanRuntime
 from repro.instrument.coverage import CoverageRuntime
 from repro.instrument.ubsan import UBSanRuntime
@@ -34,9 +35,6 @@ from repro.variants.dispatch import (
 )
 from repro.variants.spec import VariantSpec
 from repro.vm.interpreter import VM
-
-ENTRY = "run_input"
-PRESERVED = ("main", "run_input")
 
 
 @dataclass
@@ -119,14 +117,6 @@ class PartisanRun:
     metrics: MetricsRegistry
 
 
-def _run_one(vm: VM, data: bytes):
-    """One execution using the corpus protocol shared with the fuzzer."""
-    vm.reset()
-    addr = vm.alloc(max(len(data), 1) + 1)
-    vm.write_bytes(addr, data)
-    return vm.run(ENTRY, (addr, len(data)), reset=False)
-
-
 def _collect_findings(builder: VariantBuilder) -> Dict[str, int]:
     findings = {"asan_violations": 0, "ubsan_fires": 0, "coverage_blocks": 0}
     for fb in builder.builds.values():
@@ -178,7 +168,7 @@ def run_partisan(
     clean_exe = builder.build_for(builder.spec.default).engine.executable
     baseline: List[int] = []
     for data in inputs:
-        result = _run_one(VM(clean_exe), data)
+        result = run_input(VM(clean_exe), data)
         baseline.append(result.cycles)
 
     selector = VariantSelector(
@@ -205,7 +195,7 @@ def run_partisan(
             # The controller de-instrumented and relinked mid-run.
             vm = builder.make_vm(selector=selector, dispatch_tax=dispatch_tax)
         data = inputs[i % len(inputs)]
-        result = _run_one(vm, data)
+        result = run_input(vm, data)
         family = (
             selector.last_execution_family
             if mode == MODE_PER_EXECUTION

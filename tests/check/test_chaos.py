@@ -8,26 +8,22 @@ the final executable byte-equivalent to a fault-free scratch build.
 
 import pytest
 
-from repro.check.chaos import (
+from repro.check.oracle import Outcome, Report
+from repro.check.schedules import (
     FAULT_CACHE_CORRUPT,
     FAULT_DEADLINE_EXPIRE,
-    FAULT_KINDS,
     FAULT_WORKER_CRASH,
-    ChaosOutcome,
-    ChaosReport,
-    ChaosRunner,
-    ChaosSchedule,
-    FaultEvent,
-    generate_chaos_schedules,
-)
-from repro.check.schedules import (
+    SERVICE_FAULT_KINDS,
     STEP_DISABLE,
     STEP_REMOVE,
     STEP_ENABLE,
     STEP_PRUNE,
+    FaultEvent,
     ProbeSchedule,
     ScheduleStep,
+    generate_chaos_schedules,
 )
+from repro.check.subjects import CHAOS_LAYOUT, chaos_replay
 from repro.programs.registry import get_program
 from repro.service.workers import MODE_PROCESS
 
@@ -46,14 +42,14 @@ class TestGeneration:
     def test_fault_plans_respect_bounds(self):
         for schedule in generate_chaos_schedules(8, 3, min_faults=2, max_faults=3):
             assert 2 <= len(schedule.faults) <= 3
-            steps = len(schedule.probe_schedule.steps)
+            steps = len(schedule.steps)
             for fault in schedule.faults:
                 assert 0 <= fault.step < steps
-                assert fault.kind in FAULT_KINDS
+                assert fault.kind in SERVICE_FAULT_KINDS
 
     def test_prune_steps_excluded_by_default(self):
         for schedule in generate_chaos_schedules(8, 3):
-            kinds = {step.kind for step in schedule.probe_schedule.steps}
+            kinds = {step.kind for step in schedule.steps}
             assert STEP_PRUNE not in kinds
 
     def test_fault_event_validation(self):
@@ -70,16 +66,13 @@ class TestGeneration:
 class TestReport:
     def _schedule(self):
         steps = (ScheduleStep(STEP_DISABLE, count=1, inputs=0),)
-        return ChaosSchedule(
-            7, 3, ProbeSchedule(7, 3, steps), (FaultEvent(0, FAULT_WORKER_CRASH),)
-        )
+        return ProbeSchedule(7, 3, steps, (FaultEvent(0, FAULT_WORKER_CRASH),))
 
     def test_failures_and_summary(self):
-        report = ChaosReport("demo", 3)
-        good = ChaosOutcome(self._schedule())
-        good.injected = {FAULT_WORKER_CRASH: 1}
-        good.worker_restarts = 1
-        bad = ChaosOutcome(self._schedule())
+        report = Report("demo", CHAOS_LAYOUT, {"program": "demo", "seed": 3})
+        good = Outcome(self._schedule())
+        good.counters = {"injected": {FAULT_WORKER_CRASH: 1}, "worker_restarts": 1}
+        bad = Outcome(self._schedule())
         bad.mismatches.append("object bytes differ for frag x")
         report.outcomes = [good, bad]
         assert not report.ok
@@ -109,35 +102,53 @@ class TestAcceptance:
             ScheduleStep(STEP_DISABLE, count=2, inputs=1),
             ScheduleStep(STEP_ENABLE, count=1, inputs=1),
         )
-        schedule = ChaosSchedule(
+        schedule = ProbeSchedule(
             0,
             77,
-            ProbeSchedule(0, 77, steps),
+            steps,
             (
                 FaultEvent(0, FAULT_WORKER_CRASH),
                 FaultEvent(1, FAULT_CACHE_CORRUPT),
                 FaultEvent(2, FAULT_DEADLINE_EXPIRE),
             ),
         )
-        runner = ChaosRunner(
+        replay = chaos_replay(
             get_program("lcms"), workers=2, worker_mode=MODE_PROCESS, max_inputs=2
         )
-        outcome = runner.run_schedule(schedule)
+        outcome = replay.replay(schedule)
+        counters = outcome.counters
         assert outcome.error is None
         assert outcome.mismatches == []
         assert outcome.ok
         # Every fault actually fired ...
-        assert outcome.injected == {
+        assert counters["injected"] == {
             FAULT_WORKER_CRASH: 1,
             FAULT_CACHE_CORRUPT: 1,
             FAULT_DEADLINE_EXPIRE: 1,
         }
-        assert outcome.unfired_worker_faults == 0
+        assert counters["unfired_worker_faults"] == 0
         # ... and the service degraded without lying: all three probe
         # steps were answered, the expired job was shed (not compiled),
         # the crash forced a pool restart, and the corrupt blob was
         # quarantined instead of served or raised.
-        assert outcome.replies == len(steps)
-        assert outcome.shed == 1
-        assert outcome.worker_restarts >= 1
-        assert outcome.quarantined >= 1
+        assert counters["replies"] == len(steps)
+        assert counters["shed"] == 1
+        assert counters["worker_restarts"] >= 1
+        assert counters["quarantined"] >= 1
+
+    def test_prune_steps_replay_as_covered_removals(self):
+        """A prune step in a chaos schedule removes the covered probes
+        through the service client instead of failing the schedule."""
+        schedules = generate_chaos_schedules(2, 1, include_prune=True)
+        assert any(
+            step.kind == STEP_PRUNE for s in schedules for step in s.steps
+        )
+        report = chaos_replay(
+            get_program("lcms"), workers=1, worker_mode="thread", max_inputs=2
+        ).run(schedules, seed=1)
+        assert report.ok, report.failures
+        pruned = [
+            step for o in report.outcomes for step in o.steps
+            if step.kind == STEP_PRUNE
+        ]
+        assert any(step.applied for step in pruned)

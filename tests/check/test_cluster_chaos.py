@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.check.chaos import (
+from repro.check.schedules import (
     CLUSTER_FAULT_KINDS,
-    ClusterFaultEvent,
+    FaultEvent,
     generate_cluster_chaos_schedules,
-    run_cluster_chaos,
 )
+from repro.check.subjects import CLUSTER_LAYOUT, cluster_replay
+from repro.check.oracle import Outcome
 from repro.programs.registry import get_program
 
 
@@ -31,22 +32,32 @@ class TestGeneration:
             4, 5, tenants=5, min_faults=1, max_faults=2
         )
         for schedule in schedules:
-            assert len(schedule.tenant_schedules) == 5
+            assert len(schedule.tenants) == 5
             assert 1 <= len(schedule.faults) <= 2
             for fault in schedule.faults:
                 assert fault.kind in CLUSTER_FAULT_KINDS
-                assert 0 <= fault.round < schedule.rounds
+                assert 0 <= fault.step < schedule.rounds
+
+    def test_prune_steps_rejected(self):
+        """Tenants execute no inputs, so a prune step has nothing to
+        prune: generation refuses it instead of replay failing later."""
+        with pytest.raises(ValueError, match="prune"):
+            generate_cluster_chaos_schedules(1, 2, tenants=2, include_prune=True)
 
     def test_fault_event_validation(self):
         with pytest.raises(ValueError):
-            ClusterFaultEvent(0, "meteor-strike")
+            FaultEvent(0, "meteor-strike")
         with pytest.raises(ValueError):
-            ClusterFaultEvent(-1, "shard-kill")
+            FaultEvent(-1, "shard-kill")
 
     def test_describe_mentions_faults(self):
         schedule = generate_cluster_chaos_schedules(1, 3, tenants=4)[0]
-        text = schedule.describe()
+        text = CLUSTER_LAYOUT.line(Outcome(schedule, counters=dict(
+            injected={}, failovers=0, migrations=0, resubmits=0,
+            live_shards=3, degraded=False, tenants=[],
+        )))
         assert "tenants" in text and "rounds" in text
+        assert schedule.describe_faults() in text
 
 
 class TestSweep:
@@ -55,18 +66,17 @@ class TestSweep:
         # schedule, 3 shards, 4 tenants over one program.  Every tenant
         # campaign must complete and every surviving engine must rebuild
         # fingerprint-identical to an uninterrupted run.
-        report = run_cluster_chaos(
-            [get_program("json")],
-            schedules=1, seed=7, shards=3, tenants=4,
+        report = cluster_replay(
+            [get_program("json")], shards=3, tenants=4,
             max_inputs=2, reply_timeout_s=3.0,
-        )
+        ).run(generate_cluster_chaos_schedules(1, 7, tenants=4), seed=7)
         assert report.ok, report.failures
         outcome = report.outcomes[0]
         assert outcome.error is None
-        assert sum(outcome.injected.values()) >= 1
-        assert len(outcome.tenants) == 4
-        for tenant in outcome.tenants:
-            assert tenant.mismatches == []
+        assert sum(outcome.counters["injected"].values()) >= 1
+        assert len(outcome.counters["tenants"]) == 4
+        for tenant in outcome.counters["tenants"]:
+            assert tenant["mismatches"] == []
         # The report is JSON-serializable end to end (CI artifact).
         payload = json.loads(report.to_json())
         assert payload["ok"] is True

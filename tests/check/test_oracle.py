@@ -1,12 +1,11 @@
 """The differential oracle: equivalence holds, and divergence is caught."""
 
-from repro.check import DifferentialOracle, generate_schedules
+from repro.check import DifferentialOracle, generate_schedules, rebuild_replay
 from repro.core.engine import Odin
+from repro.fuzz.executor import PRESERVED
 from repro.instrument.coverage import OdinCov
 from repro.linker.linker import link
 from repro.programs.registry import get_program
-
-PRESERVED = ("main", "run_input")
 
 
 def make_built_engine(program, **kwargs):
@@ -20,21 +19,21 @@ def make_built_engine(program, **kwargs):
 class TestOracle:
     def test_incremental_equivalent_to_scratch(self):
         program = get_program("libjpeg")
-        oracle = DifferentialOracle(program, max_inputs=2)
-        report = oracle.run(generate_schedules(2, 11, max_steps=4))
-        assert report.ok, report.mismatches
+        replay = rebuild_replay(program, max_inputs=2)
+        report = replay.run(generate_schedules(2, 11, max_steps=4))
+        assert report.ok, report.failures
         assert report.comparisons >= 1
         assert "ok" in report.summary()
 
     def test_service_path_equivalent(self):
         """Batching, content cache and link cache preserve equivalence."""
         program = get_program("lcms")
-        oracle = DifferentialOracle(
-            program, use_service=True, workers=2, worker_mode="thread",
+        replay = rebuild_replay(
+            program, service=True, workers=2, worker_mode="thread",
             max_inputs=2,
         )
-        report = oracle.run(generate_schedules(1, 13, max_steps=4))
-        assert report.ok, report.mismatches
+        report = replay.run(generate_schedules(1, 13, max_steps=4))
+        assert report.ok, report.failures
 
     def test_oracle_detects_tampered_object(self):
         """Mutation sanity: a one-cycle change to one cached object must
@@ -58,11 +57,11 @@ class TestOracle:
     def test_no_op_steps_skip_reference_builds(self):
         """Enable steps with nothing disabled are no-ops: not compared."""
         program = get_program("lcms")
-        oracle = DifferentialOracle(program, max_inputs=1)
+        replay = rebuild_replay(program, max_inputs=1)
         from repro.check.schedules import ProbeSchedule, ScheduleStep
 
         schedule = ProbeSchedule(0, 99, (ScheduleStep("enable", 2, 0),))
-        outcome = oracle.check_schedule(schedule)
+        outcome = replay.replay(schedule)
         assert outcome.ok
         assert outcome.comparisons == 0
 

@@ -1,6 +1,6 @@
 """The tier sweep: all three recompile tiers produce identical artifacts."""
 
-from repro.check import TierSweep, generate_schedules
+from repro.check import generate_schedules, tier_replay
 from repro.check.schedules import (
     STEP_DISABLE,
     STEP_ENABLE,
@@ -13,9 +13,9 @@ from repro.programs.registry import get_program
 
 class TestTierSweep:
     def test_generated_schedules_have_zero_divergences(self):
-        sweep = TierSweep(get_program("json"), max_inputs=2)
+        sweep = tier_replay(get_program("json"), max_inputs=2)
         report = sweep.run(generate_schedules(2, 21, max_steps=4))
-        assert report.ok, report.mismatches
+        assert report.ok, report.failures
         assert report.comparisons >= 1
         assert "ok" in report.summary()
 
@@ -30,10 +30,10 @@ class TestTierSweep:
                 ScheduleStep(STEP_REMOVE, count=2, inputs=1),
             ),
         )
-        sweep = TierSweep(get_program("json"), max_inputs=2)
+        sweep = tier_replay(get_program("json"), max_inputs=2)
         report = sweep.run([schedule])
-        assert report.ok, report.mismatches
-        hit = report.tiers_hit
+        assert report.ok, report.failures
+        hit = report.total("tiers_hit")
         # The patch session patches the toggles; the memo session's
         # remove replays memoized IR for untouched-but-recompiled
         # fragments; everything else is the full path.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.check.oracle import PRESERVED
+from repro.fuzz.executor import PRESERVED
 from repro.cluster import (
     ClusterError,
     CompileCluster,

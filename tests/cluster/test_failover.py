@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.check.oracle import PRESERVED, DifferentialOracle
+from repro.check.oracle import DifferentialOracle
 from repro.cluster import (
     CompileCluster,
     RouterPartitionError,
     ShardDownError,
     TenantSpec,
 )
+from repro.fuzz.executor import PRESERVED
 from repro.instrument.coverage import OdinCov
 from repro.programs.registry import get_program
 from repro.service.jobs import CompileRequest

@@ -1,6 +1,6 @@
 """Guided UBSan placement: range analysis prunes provably-safe probes."""
 
-from repro.check import DifferentialOracle, generate_schedules
+from repro.check import generate_schedules, rebuild_replay
 from repro.core.engine import Odin
 from repro.instrument.ubsan import UBSanTool
 from repro.programs.registry import get_program
@@ -46,6 +46,6 @@ class TestGuidedPlacement:
         """The acceptance pairing: guided UBSan saves probes on a program
         on which `repro check` (the rebuild oracle) still passes."""
         program = get_program(TARGET)
-        oracle = DifferentialOracle(program, max_inputs=2)
-        report = oracle.run(generate_schedules(2, 11, max_steps=4))
-        assert report.ok, report.mismatches
+        replay = rebuild_replay(program, max_inputs=2)
+        report = replay.run(generate_schedules(2, 11, max_steps=4))
+        assert report.ok, report.failures

@@ -13,7 +13,7 @@ from repro.linker.cache import LinkCache
 from repro.programs.registry import get_program
 from repro.service.cache import InMemoryCodeCache, PersistentCodeCache
 from repro.variants.builder import VariantBuilder
-from repro.variants.runner import PRESERVED
+from repro.fuzz.executor import PRESERVED
 from repro.variants.spec import FAMILY_CLEAN, FAMILY_COVERAGE, FAMILY_SANITIZED
 
 

@@ -7,7 +7,7 @@ from repro.programs.registry import get_program
 from repro.variants.builder import VariantBuilder
 from repro.variants.controller import BudgetController, ControllerConfig
 from repro.variants.dispatch import VariantSelector
-from repro.variants.runner import PRESERVED
+from repro.fuzz.executor import PRESERVED
 from repro.variants.spec import FAMILY_CLEAN, FAMILY_COVERAGE, FAMILY_SANITIZED
 
 

@@ -6,8 +6,9 @@ from repro.core.engine import Odin
 from repro.instrument.asan import ASanTool
 from repro.instrument.ubsan import UBSanTool
 from repro.programs.registry import get_program
-from repro.variants.oracle import check_clean_dispatch
-from repro.variants.runner import PRESERVED, run_partisan
+from repro.check import check_clean_dispatch
+from repro.fuzz.executor import PRESERVED
+from repro.variants.runner import run_partisan
 
 
 class TestRunPartisan:
@@ -67,8 +68,8 @@ class TestCleanDispatchOracle:
     @pytest.mark.parametrize("name", ["json", "woff2"])
     def test_equivalence_holds(self, name):
         report = check_clean_dispatch(get_program(name), max_inputs=3)
-        assert report.ok, report.mismatches
-        assert report.inputs == 3
+        assert report.ok, report.failures
+        assert report.total("inputs") == 3
         assert "ok" in report.summary()
 
     def test_detects_behaviour_divergence(self, monkeypatch, json_program):
@@ -84,7 +85,7 @@ class TestCleanDispatchOracle:
         monkeypatch.setattr(VariantExecutable, "dispatch", skewed)
         report = check_clean_dispatch(json_program, max_inputs=2)
         assert not report.ok
-        assert any("cycles" in m for m in report.mismatches)
+        assert any("cycles" in m for m in report.failures)
 
 
 class TestInstrumentRegressions:
