@@ -76,6 +76,10 @@ class IntType(Type):
         if hit is None:
             obj = super().__new__(cls)
             obj.bits = bits
+            # Width constants, computed once per interned type.
+            obj.umax = (1 << bits) - 1
+            obj.smin = -(1 << (bits - 1)) if bits > 1 else -1
+            obj.smax = (1 << (bits - 1)) - 1 if bits > 1 else 0
             # setdefault keeps interning race-free when fragment compiles
             # run on a thread pool: the first insert wins, every thread
             # sees the same object, and equality stays identity.
@@ -83,23 +87,14 @@ class IntType(Type):
         return hit
 
     bits: int
+    #: Largest value representable when read as unsigned.
+    umax: int
+    smin: int
+    smax: int
 
     @property
     def size(self) -> int:
         return max(1, self.bits // 8)
-
-    @property
-    def umax(self) -> int:
-        """Largest value representable when read as unsigned."""
-        return (1 << self.bits) - 1
-
-    @property
-    def smin(self) -> int:
-        return -(1 << (self.bits - 1)) if self.bits > 1 else -1
-
-    @property
-    def smax(self) -> int:
-        return (1 << (self.bits - 1)) - 1 if self.bits > 1 else 0
 
     def wrap(self, value: int) -> int:
         """Truncate *value* to this width, unsigned representation."""

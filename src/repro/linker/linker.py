@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.backend.costmodel import image_patch_cost_ms, link_cost_ms
 from repro.backend.machine import MachineFunction, ObjectFile
@@ -46,6 +46,11 @@ class LinkedFunction:
     mf: MachineFunction
     object_name: str
     resolution: Dict[str, Resolution]
+    # The VM's translations of this function, by translation key
+    # (repro.vm.translate); a patched image reuses them with the function.
+    translations: Dict[tuple, Callable] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def name(self) -> str:
@@ -63,6 +68,11 @@ class Executable:
     symbol_addresses: Dict[str, int] = field(default_factory=dict)  # exported data
     const_ranges: List[Tuple[int, int]] = field(default_factory=list)
     link_ms: float = 0.0
+    # The VM's per-key tables of translated functions, indexed like
+    # ``functions`` and filled on first call (repro.vm.interpreter).
+    code_tables: Dict[tuple, List[Optional[Callable]]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def data_end(self) -> int:

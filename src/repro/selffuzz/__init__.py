@@ -22,6 +22,7 @@ from repro.selffuzz.harness import (
     STATUS_PASS_CRASH,
     STATUS_SANITIZER,
     STATUS_VERIFIER,
+    STATUS_VM_DIVERGENCE,
     CampaignReport,
     SelfFuzzCampaign,
     SelfFuzzHarness,
@@ -49,6 +50,7 @@ __all__ = [
     "STATUS_PASS_CRASH",
     "STATUS_SANITIZER",
     "STATUS_VERIFIER",
+    "STATUS_VM_DIVERGENCE",
     "CampaignReport",
     "SelfFuzzCampaign",
     "SelfFuzzHarness",

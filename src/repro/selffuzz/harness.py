@@ -19,6 +19,13 @@ Every generated program runs through four legs:
 Cycle counts are *not* compared: -O2 exists to change them.  Exit code,
 stdout and trap state must be identical.
 
+Every execution in legs 2 and 3 also runs on the reference VM
+(:class:`~repro.vm.reference.ReferenceVM`): the -O0 and -O2 builds of
+each program double as differential inputs for the VM's translated fast
+path, which must match the reference loop exactly — exit code, stdout,
+trap, cycles, steps and final memory.  A disagreement is its own verdict
+(``vm-divergence``).
+
 Behavioural divergences are attributed by prefix bisection
 (:func:`repro.selffuzz.bisect.bisect_divergence`); verifier, sanitizer
 and crash failures carry their pass attribution directly.
@@ -38,6 +45,7 @@ from repro.ir.clone import clone_module
 from repro.ir.module import Module
 from repro.ir.types import I64
 from repro.ir.values import ConstantInt
+from repro.errors import ReproError
 from repro.ir.verifier import verify_module
 from repro.linker.linker import link
 from repro.opt.pipeline import optimize
@@ -50,6 +58,7 @@ from repro.selffuzz.bisect import (
 )
 from repro.selffuzz.generator import GeneratedProgram, ProgramGenerator
 from repro.vm.interpreter import VM
+from repro.vm.reference import ReferenceVM
 
 STATUS_OK = "ok"
 STATUS_DIVERGENCE = "behaviour-divergence"
@@ -62,6 +71,8 @@ STATUS_FRONTEND = "frontend-error"
 #: after -O2 it means the optimized module broke the backend.
 STATUS_O0_CRASH = "o0-crash"
 STATUS_BACKEND = "backend-crash"
+#: The VM's fast path and the reference VM disagreed on one execution.
+STATUS_VM_DIVERGENCE = "vm-divergence"
 
 #: Step budget per generated-program execution — far above any generated
 #: workload, far below the default VM ceiling, so runaway programs fail
@@ -135,11 +146,40 @@ class Verdict:
         }
 
 
+class VMDivergence(ReproError):
+    """The fast VM and the reference VM disagreed on one execution."""
+
+
+def _execute(vm: VM) -> Tuple[Tuple[object, ...], Optional[Exception]]:
+    """Everything observable about running ``main`` on *vm*, and the error
+    the run raised, if any: the step limit, a bad function address, or a
+    crash of the VM itself (which the other VM must then repeat)."""
+    try:
+        result = vm.run("main")
+    except Exception as error:
+        return (type(error).__name__, str(error), vm.cycles, vm.steps), error
+    outcome = (result.exit_code, result.stdout, result.trap, result.cycles, result.steps)
+    return outcome, None
+
+
 def run_module(module: Module, *, max_steps: int = MAX_STEPS) -> Behaviour:
-    """Lower, link and execute ``main`` of an (optimized or not) module."""
+    """Lower, link and execute ``main`` of an (optimized or not) module.
+
+    The executable runs on the VM and on the reference VM; any difference
+    between the two, an exception only one of them raises included, raises
+    :class:`VMDivergence`.
+    """
     executable = link([lower_module(module)])
-    result = VM(executable, max_steps=max_steps).run("main")
-    return Behaviour(result.exit_code, result.stdout, result.trap)
+    fast = VM(executable, max_steps=max_steps)
+    reference = ReferenceVM(executable, max_steps=max_steps)
+    (got, error), (want, _) = _execute(fast), _execute(reference)
+    if got != want or fast.memory != reference.memory:
+        detail = "final memory differs" if got == want else f"{got!r} != reference {want!r}"
+        raise VMDivergence(f"fast VM vs reference VM in @{module.name}: {detail}")
+    if error is not None:
+        raise error
+    exit_code, stdout, trap = got[:3]
+    return Behaviour(exit_code, stdout, trap)
 
 
 def o0_behaviour(module: Module, *, max_steps: int = MAX_STEPS) -> Behaviour:
@@ -205,6 +245,9 @@ class SelfFuzzHarness:
 
         try:
             reference = o0_behaviour(module, max_steps=self.max_steps)
+        except VMDivergence as exc:
+            return Verdict(name=name, status=STATUS_VM_DIVERGENCE, detail=str(exc),
+                           source=source)
         except Exception as exc:
             return Verdict(
                 name=name, status=STATUS_O0_CRASH,
@@ -224,6 +267,9 @@ class SelfFuzzHarness:
             )
         try:
             optimized = run_module(o2, max_steps=self.max_steps)
+        except VMDivergence as exc:
+            return Verdict(name=name, status=STATUS_VM_DIVERGENCE, detail=str(exc),
+                           source=source)
         except Exception as exc:
             return Verdict(
                 name=name, status=STATUS_BACKEND,
@@ -267,9 +313,6 @@ class SelfFuzzHarness:
     def attribute_divergence(self, verdict: Verdict) -> Optional[BisectResult]:
         """Pin a behavioural divergence to its first diverging pass."""
         source, name = verdict.source, verdict.name
-        reference = o0_behaviour(
-            compile_source(source, name), max_steps=self.max_steps
-        )
 
         def fresh() -> Module:
             return compile_source(source, name)
@@ -278,13 +321,24 @@ class SelfFuzzHarness:
             probe = clone_module(module, f"{module.name}.probe").module
             try:
                 behaviour = run_module(probe, max_steps=self.max_steps)
+            except VMDivergence:
+                raise
             except Exception:
                 # A prefix that breaks the backend does not behave like
                 # -O0 either; bisection then pins the breaking pass.
                 return True
             return bool(reference.mismatches(behaviour))
 
-        result = bisect_divergence(fresh, diverges, pipeline=self.pipeline)
+        try:
+            reference = o0_behaviour(fresh(), max_steps=self.max_steps)
+            result = bisect_divergence(fresh, diverges, pipeline=self.pipeline)
+        except VMDivergence as exc:
+            # Some prefix build runs differently on the two VMs: that is
+            # the failure to report, not an optimizer pass.
+            verdict.status = STATUS_VM_DIVERGENCE
+            verdict.detail = str(exc)
+            verdict.mismatches = []
+            return None
         if result is not None:
             verdict.pass_name = result.pass_name
             verdict.bisect = result.describe()

@@ -2,13 +2,24 @@
 
 This stands in for the paper's hardware: every figure that reports
 "execution duration" reports :attr:`ExecutionResult.cycles` from this
-interpreter.  Determinism is total — same executable, same input, same
-cycle count.
+VM.  Determinism is total — same executable, same input, same cycle
+count.
+
+Execution does not interpret instruction by instruction.  The first call
+of each linked function translates it into one Python function
+(:mod:`repro.vm.translate`), cached on the function object and shared by
+every VM over the same image; steps and cycles are charged once per
+straight-line segment, with fix-ups that keep them exact at every point
+where a runtime, hook or error can observe them.
+:class:`repro.vm.reference.ReferenceVM` is the per-instruction loop the
+translations must match bit for bit; only tests and the selffuzz harness
+run it.
 
 Instrumentation hooks:
 
 * ``probe`` instructions dispatch to a :class:`ProbeRuntime` (compiler-
   based instrumentation: OdinCov, SanitizerCoverage analogue, CmpLog...)
+  through ``on_probe(kind, id, args, vm)``;
 * ``bb`` markers optionally invoke a ``block_hook`` and charge
   ``block_tax`` extra cycles — that is how the DynamoRIO/DynInst-style
   *binary* instrumentation baselines are modelled: they pay per-block
@@ -19,24 +30,23 @@ Instrumentation hooks:
   which co-resident sanitization family of the callee executes, charging
   ``dispatch_tax`` extra cycles per dispatched call — the PartiSan-style
   indirection cost.
+
+These settings are read when :meth:`VM.run` starts, so they may be set
+after construction (``DrCov.make_vm`` installs its hook that way).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import VMError, VMTrap
-from repro.ir.semantics import eval_binary, eval_cast, eval_icmp
-from repro.ir.types import IntType
-from repro.linker.linker import Executable, LinkedFunction
+from repro.linker.linker import Executable
 from repro.vm.runtime import BuiltinRuntime, ExitProgram
+from repro.vm.translate import translate, translation_key
 
 MEM_SIZE = 1 << 22  # 4 MiB: data + heap + stack
 DEFAULT_MAX_STEPS = 50_000_000
-
-_INT_BY_BITS = {1: IntType(1), 8: IntType(8), 16: IntType(16),
-                32: IntType(32), 64: IntType(64)}
 
 
 class ProbeRuntime:
@@ -70,23 +80,13 @@ class ExecutionResult:
         return self.trap is None
 
 
-def _decode(inst) -> tuple:
-    """Decode an op string once; cached on the instruction."""
-    parts = inst.op.split(".")
-    head = parts[0]
-    if head in ("bin", "bini"):
-        return (head, parts[1], _INT_BY_BITS[int(parts[2])])
-    if head in ("cmp", "cmpi"):
-        return (head, parts[1], _INT_BY_BITS[int(parts[2])])
-    if head == "cast":
-        return (head, parts[1], _INT_BY_BITS[int(parts[2])], _INT_BY_BITS[int(parts[3])])
-    if head in ("ld", "st"):
-        return (head, int(parts[1]) // 8)
-    return (head,)
-
-
 class VM:
-    """Interpreter over a linked executable."""
+    """Executes a linked executable; each function runs as its translation.
+
+    See :mod:`repro.vm.translate` for how a function is translated and how
+    steps and cycles stay exact; :class:`repro.vm.reference.ReferenceVM`
+    is the per-instruction loop the translations are tested against.
+    """
 
     def __init__(
         self,
@@ -119,7 +119,13 @@ class VM:
             raise VMError("memory too small for data image")
         self.memory = bytearray(mem_size)
         self.heap_base = (executable.data_end + 0xFFF) & ~0xFFF
-        self.builtins = BuiltinRuntime(self)
+        self.builtins = BuiltinRuntime()
+        # Translated functions by index for the current settings; picked
+        # when run() starts (settings such as block_hook may be set after
+        # construction).
+        self._key: Optional[tuple] = None
+        self._code: List[Optional[Callable]] = []
+        self._on_probe: Optional[Callable] = None
         self.reset()
 
     # -- state management ------------------------------------------------------
@@ -147,7 +153,8 @@ class VM:
         return addr
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        self._check_range(addr, len(data), write=True, check_const=False)
+        """Write *data* at *addr*, with the range and const checks of a guest store."""
+        self._check_range(addr, len(data), write=True)
         self.memory[addr : addr + len(data)] = data
 
     def read_bytes(self, addr: int, size: int) -> bytes:
@@ -155,29 +162,20 @@ class VM:
         return bytes(self.memory[addr : addr + size])
 
     def read_cstring(self, addr: int, limit: int = 1 << 16) -> bytes:
+        self._check_range(addr, 1, write=False)
         end = self.memory.find(b"\x00", addr, addr + limit)
         if end < 0:
             raise VMTrap(f"unterminated string at {addr:#x}", "bad-memory")
         return bytes(self.memory[addr:end])
 
-    def _check_range(self, addr: int, size: int, write: bool, check_const: bool = True) -> None:
+    def _check_range(self, addr: int, size: int, write: bool) -> None:
         if addr < self.exe.data_base or addr + size > self.mem_size:
             kind = "write" if write else "read"
             raise VMTrap(f"invalid {kind} at {addr:#x} (+{size})", "bad-memory")
-        if write and check_const:
+        if write:
             for lo, hi in self.exe.const_ranges:
                 if lo <= addr < hi:
                     raise VMTrap(f"write to const data at {addr:#x}", "bad-memory")
-
-    def _load_int(self, addr: int, size: int) -> int:
-        self._check_range(addr, size, write=False)
-        return int.from_bytes(self.memory[addr : addr + size], "little")
-
-    def _store_int(self, addr: int, size: int, value: int) -> None:
-        self._check_range(addr, size, write=True)
-        self.memory[addr : addr + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "little"
-        )
 
     # -- execution -------------------------------------------------------------------
 
@@ -199,8 +197,9 @@ class VM:
             # Per-execution selection modes re-draw their family here.
             self.variant_selector.begin_execution()
         index = self.exe.function_index(entry)
+        self._prepare()
         try:
-            value = self._call(index, tuple(args))
+            value = self._invoke(index, tuple(args))
             result = ExecutionResult(exit_code=value & 0xFFFFFFFF)
         except ExitProgram as exit_:
             result = ExecutionResult(exit_code=exit_.code & 0xFFFFFFFF)
@@ -211,178 +210,40 @@ class VM:
         result.steps = self.steps
         return result
 
-    def _call(self, func_index: int, args: Tuple[int, ...]) -> int:
-        """Execute one function to completion; recursion implements calls."""
-        selector = self.variant_selector
-        if selector is not None:
-            # Route through the dispatch table: direct calls, indirect
-            # calls and the entry point all funnel through here, so one
-            # remap covers every control transfer uniformly.
-            exe = self.exe
-            family = selector.select(
-                exe.functions[func_index].name, exe.family_of[func_index]
+    def _prepare(self) -> None:
+        """Pick the translations for the settings this run uses."""
+        key = translation_key(self)
+        if key != self._key:
+            self._key = key
+            self._code = self.exe.code_tables.setdefault(
+                key, [None] * len(self.exe.functions)
             )
-            func_index = exe.dispatch(func_index, family)
-            self.cycles += self.dispatch_tax
-        lf = self.exe.functions[func_index]
-        mf = lf.mf
-        if len(args) < self._fixed_args(mf):
-            raise VMTrap(f"call to @{mf.name} with too few arguments", "bad-call")
+        runtime = self.probe_runtime
+        self._on_probe = runtime.on_probe if runtime is not None else None
 
-        regs: List[int] = [0] * max(mf.num_regs, len(args))
-        for i, value in enumerate(args):
-            if i < mf.num_regs:
-                regs[i] = value
-        frame_base = self.stack_ptr - mf.frame_size
-        if frame_base < self.heap_ptr + 0x1000:
-            raise VMTrap("stack overflow", "stack-overflow")
-        saved_sp = self.stack_ptr
-        self.stack_ptr = frame_base
+    def _invoke(self, index: int, args: Tuple[int, ...]) -> int:
+        """Call function *index*, through the variant dispatch table if any."""
+        if self.variant_selector is not None:
+            index = self._route(index)
+        return (self._code[index] or self._load(index))(self, *args)
 
-        insts = mf.insts
-        resolution = lf.resolution
-        pc = 0
-        n = len(insts)
-        try:
-            while pc < n:
-                inst = insts[pc]
-                self.steps += 1
-                if self.steps > self.max_steps:
-                    raise VMError(
-                        f"execution exceeded {self.max_steps} steps in @{mf.name}"
-                    )
-                self.cycles += inst.cost
-                dec = inst.__dict__.get("dec")
-                if dec is None:
-                    dec = _decode(inst)
-                    inst.dec = dec
-                head = dec[0]
+    def _route(self, index: int) -> int:
+        """The family of function *index* the variant selector picks.
 
-                if head == "bb":
-                    if self.block_hook is not None:
-                        self.block_hook(func_index, inst.imm)
-                    self.cycles += self.block_tax
-                    pc += 1
-                elif head == "movi":
-                    regs[inst.dst] = inst.imm
-                    pc += 1
-                elif head in ("mov", "freeze"):
-                    regs[inst.dst] = regs[inst.srcs[0]]
-                    pc += 1
-                elif head == "bin":
-                    try:
-                        regs[inst.dst] = eval_binary(
-                            dec[1], dec[2], regs[inst.srcs[0]], regs[inst.srcs[1]]
-                        )
-                    except ZeroDivisionError:
-                        raise VMTrap("integer division by zero", "div-by-zero")
-                    pc += 1
-                elif head == "bini":
-                    try:
-                        regs[inst.dst] = eval_binary(
-                            dec[1], dec[2], regs[inst.srcs[0]], inst.imm
-                        )
-                    except ZeroDivisionError:
-                        raise VMTrap("integer division by zero", "div-by-zero")
-                    pc += 1
-                elif head == "cmp":
-                    regs[inst.dst] = eval_icmp(
-                        dec[1], dec[2], regs[inst.srcs[0]], regs[inst.srcs[1]]
-                    )
-                    pc += 1
-                elif head == "cmpi":
-                    regs[inst.dst] = eval_icmp(
-                        dec[1], dec[2], regs[inst.srcs[0]], inst.imm
-                    )
-                    pc += 1
-                elif head == "cast":
-                    regs[inst.dst] = eval_cast(
-                        dec[1], dec[2], dec[3], regs[inst.srcs[0]]
-                    )
-                    pc += 1
-                elif head == "sel":
-                    c, a, b = inst.srcs
-                    regs[inst.dst] = regs[a] if regs[c] else regs[b]
-                    pc += 1
-                elif head == "ld":
-                    regs[inst.dst] = self._load_int(regs[inst.srcs[0]], dec[1])
-                    pc += 1
-                elif head == "st":
-                    self._store_int(regs[inst.srcs[0]], dec[1], regs[inst.srcs[1]])
-                    pc += 1
-                elif head == "addsc":
-                    base, index = inst.srcs
-                    idx = regs[index]
-                    if idx >= 1 << 63:  # negative index in unsigned rep
-                        idx -= 1 << 64
-                    regs[inst.dst] = (regs[base] + idx * inst.imm) & ((1 << 64) - 1)
-                    pc += 1
-                elif head == "lea":
-                    kind, value = resolution[inst.sym]
-                    if kind == "data":
-                        regs[inst.dst] = value
-                    elif kind == "func":
-                        regs[inst.dst] = self.exe.function_address(value)
-                    else:
-                        raise VMTrap(f"cannot take address of builtin {value}", "bad-call")
-                    pc += 1
-                elif head == "leaf":
-                    regs[inst.dst] = frame_base + inst.imm
-                    pc += 1
-                elif head == "jmp":
-                    pc = inst.targets[0]
-                elif head == "brt":
-                    pc = inst.targets[0] if regs[inst.srcs[0]] else inst.targets[1]
-                elif head == "switch":
-                    value = regs[inst.srcs[0]]
-                    signed = value - (1 << 64) if value >= 1 << 63 else value
-                    target = inst.targets[0]
-                    for case_value, case_target in inst.table:
-                        if case_value == signed or case_value == value:
-                            target = case_target
-                            break
-                    pc = target
-                elif head == "call":
-                    kind, value = resolution[inst.sym]
-                    call_args = tuple(regs[r] for r in inst.args)
-                    if kind == "func":
-                        result = self._call(value, call_args)
-                    elif kind == "builtin":
-                        result = self.builtins.call(value, call_args)
-                    else:
-                        raise VMTrap(f"call to data symbol @{inst.sym}", "bad-call")
-                    if inst.dst >= 0:
-                        regs[inst.dst] = result
-                    pc += 1
-                elif head == "icall":
-                    target_index = self.exe.index_from_address(regs[inst.srcs[0]])
-                    call_args = tuple(regs[r] for r in inst.args)
-                    result = self._call(target_index, call_args)
-                    if inst.dst >= 0:
-                        regs[inst.dst] = result
-                    pc += 1
-                elif head == "probe":
-                    if self.probe_runtime is not None:
-                        self.probe_runtime.on_probe(
-                            inst.probe_kind,
-                            inst.probe_id,
-                            tuple(regs[r] for r in inst.args),
-                            self,
-                        )
-                    pc += 1
-                elif head == "ret":
-                    return regs[inst.srcs[0]] if inst.srcs else 0
-                elif head == "trap":
-                    raise VMTrap(f"unreachable executed in @{mf.name}", "unreachable")
-                else:  # pragma: no cover
-                    raise VMError(f"unknown machine op {inst.op!r}")
-            raise VMTrap(f"fell off the end of @{mf.name}", "bad-code")
-        finally:
-            self.stack_ptr = saved_sp
+        Direct calls, indirect calls and the entry point all go through
+        here, so one remap covers every control transfer.
+        """
+        exe = self.exe
+        family = self.variant_selector.select(exe.functions[index].name, exe.family_of[index])
+        index = exe.dispatch(index, family)
+        self.cycles += self.dispatch_tax
+        return index
 
-    @staticmethod
-    def _fixed_args(mf) -> int:
-        return 0  # arity is enforced at the IR level; the VM is permissive
+    def _load(self, index: int) -> Callable:
+        """Translate function *index* on its first call under this key."""
+        fn = translate(self.exe, index, self._key)
+        self._code[index] = fn
+        return fn
 
 
 def run_program(

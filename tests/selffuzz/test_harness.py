@@ -10,13 +10,15 @@ from repro.selffuzz import (
     STATUS_PASS_CRASH,
     STATUS_SANITIZER,
     STATUS_VERIFIER,
+    STATUS_VM_DIVERGENCE,
     ProgramGenerator,
     SelfFuzzCampaign,
     SelfFuzzHarness,
     bisect_divergence,
     run_o2_with_attribution,
 )
-from repro.selffuzz.harness import instrument_blocks, o0_behaviour, run_module
+from repro.selffuzz.harness import Verdict, instrument_blocks, o0_behaviour, run_module
+from repro.vm import interpreter
 
 from tests.selffuzz.planted import (
     CrashingPass,
@@ -109,6 +111,52 @@ class TestPlantedCrashAndVerifier:
         verdict = harness.check_source(SOURCE, "hand")
         assert verdict.status == STATUS_VERIFIER
         assert verdict.pass_name == "terminator-thief"
+
+
+class TestPlantedVMBug:
+    """A fast-path translation that disagrees with the reference VM is a
+    ``vm-divergence``, never an -O0/backend crash or an optimizer pass."""
+
+    @staticmethod
+    def plant(monkeypatch, broken, where=lambda lf: lf.name == "helper"):
+        """Make the translation of every linked function *where* picks *broken*."""
+        real = interpreter.translate
+
+        def translate(exe, index, key):
+            fn = real(exe, index, key)
+            return broken(fn) if where(exe.functions[index]) else fn
+
+        monkeypatch.setattr(interpreter, "translate", translate)
+
+    def test_wrong_result(self, monkeypatch):
+        self.plant(monkeypatch, lambda fn: lambda vm, *args: fn(vm, *args) + 1)
+        verdict = SelfFuzzHarness().check_source(SOURCE, "hand")
+        assert verdict.status == STATUS_VM_DIVERGENCE
+        assert "reference" in verdict.detail
+
+    def test_crashing_translation(self, monkeypatch):
+        def broken(fn):
+            def crash(vm, *args):
+                raise NameError("name 'r9' is not defined")
+            return crash
+
+        self.plant(monkeypatch, broken)
+        verdict = SelfFuzzHarness().check_source(SOURCE, "hand")
+        assert verdict.status == STATUS_VM_DIVERGENCE
+        assert "NameError" in verdict.detail
+
+    def test_not_bisected_onto_a_pass(self, monkeypatch):
+        # Only a build with ``helper`` inlined into ``main`` runs wrongly,
+        # so -O0 is clean and the bisection's prefix builds hit the bug.
+        def inlined(lf):
+            return lf.name == "main" and all(inst.sym != "helper" for inst in lf.mf.insts)
+
+        self.plant(monkeypatch, lambda fn: lambda vm, *args: fn(vm, *args) + 1, inlined)
+        assert o0_behaviour(compile_source(SOURCE, "hand")).exit_code == 14
+        verdict = Verdict(name="hand", status=STATUS_DIVERGENCE, source=SOURCE)
+        assert SelfFuzzHarness().attribute_divergence(verdict) is None
+        assert verdict.status == STATUS_VM_DIVERGENCE
+        assert verdict.pass_name is None
 
 
 class TestReplayMachinery:

@@ -1,10 +1,14 @@
 """Tests for the VM runtime builtins (the tiny libc)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.backend.isel import lower_module
 from repro.ir.parser import parse_module
 from repro.linker.linker import link
+from repro.toolchain import build
 from repro.vm.interpreter import VM
 
 
@@ -100,6 +104,24 @@ int main() {
         )
         assert r.exit_code == ord("x")
 
+    def test_strlen_of_null_traps(self):
+        r = run_c("long strlen(char *s); int main() { return (int)strlen((char*)0); }")
+        assert r.trap == "bad-memory"
+
+    @pytest.mark.parametrize("opt_level", [0, 2])
+    def test_memset_into_const_data_traps_like_a_store(self, opt_level):
+        decl = 'const char T[4] = "abc"; '
+        store = run_c(decl + "int main() { char *p = (char*)T; p[0] = 9; return T[0]; }",
+                      opt_level=opt_level)
+        memset = run_c(decl + "int main() { memset((void*)T, 9, 4); return T[0]; }",
+                       opt_level=opt_level)
+        assert store.trap == memset.trap == "bad-memory"
+
+    def test_memcpy_into_const_data_traps(self):
+        r = run_c('const char T[4] = "abc"; char S[4] = "xyz";'
+                  " int main() { memcpy((void*)T, S, 4); return T[0]; }")
+        assert r.trap == "bad-memory"
+
     def test_oom_traps(self):
         src = r"""
 int main() {
@@ -118,6 +140,22 @@ class TestProcessBuiltins:
 
     def test_abort_trap_kind(self):
         assert run_c("int main() { abort(); return 0; }").trap == "abort"
+
+    def test_discarded_vm_is_freed_without_cyclic_gc(self):
+        """A VM and its builtins form no reference cycle: the 4 MiB of
+        guest memory goes as soon as the last reference does."""
+        from repro.instrument.coverage import CoverageRuntime
+
+        exe = build('int main() { puts("x"); return 0; }').executable
+        gc.disable()
+        try:
+            vm = VM(exe, probe_runtime=CoverageRuntime())
+            assert vm.run("main").stdout == b"x\n"
+            ref = weakref.ref(vm)
+            del vm
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_builtin_charges_cycles(self):
         base = run_c("int main() { return 0; }").cycles
