@@ -90,7 +90,7 @@ def test_toggle_rounds_never_compile(profile_runs):
             f"(tiers: {report.rebuild_tiers})"
         )
         assert report.compile_batches == 0
-        for rebuild in run.controller.rebuilds:
+        for rebuild in run.actuator.rebuilds:
             assert all(
                 tier in ("patch", "noop")
                 for tier in rebuild.fragment_tiers.values()
@@ -111,7 +111,7 @@ def test_cold_paths_stay_instrumented(profile_runs):
             assert symbol not in called, name
         enabled = {
             probe.target_symbol()
-            for probe in run.tool.probes.values()
+            for probe in run.actuator.tool.probes.values()
             if probe.enabled
         }
         assert set(report.cold_instrumented) <= enabled, name
@@ -121,11 +121,11 @@ def test_profile_attribution_consistency(profile_runs):
     """Inclusive time nests: a symbol's exclusive cycles never exceed its
     inclusive cycles, and call counts match the recorded edges."""
     for name, run in profile_runs.items():
-        stats = run.tool.runtime.stats
+        stats = run.actuator.tool.runtime.stats
         for symbol, st in stats.items():
             assert 0 <= st.excl_cycles <= st.incl_cycles, (name, symbol)
         inbound = {}
-        for (_, callee), count in run.tool.runtime.edges.items():
+        for (_, callee), count in run.actuator.tool.runtime.edges.items():
             inbound[callee] = inbound.get(callee, 0) + count
         for symbol, st in stats.items():
             assert inbound.get(symbol, 0) == st.calls, (name, symbol)

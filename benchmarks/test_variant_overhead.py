@@ -100,7 +100,7 @@ def test_hot_functions_deinstrumented(partisan_runs):
         rebuilds = sum(1 for s in spans if s.find("rebuild") is not None)
         assert rebuilds >= len(report.deinstrumented)
         for symbol in report.deinstrumented:
-            assert run.selector.pinned[symbol] == FAMILY_CLEAN
+            assert run.actuator.selector.pinned[symbol] == FAMILY_CLEAN
         lines.append(
             f"{name:>10} {','.join(report.deinstrumented):<24} "
             f"{int(flipped):>14} {rebuilds:>12}"

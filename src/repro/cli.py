@@ -36,6 +36,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import threading
@@ -365,62 +366,97 @@ def cmd_cluster(args) -> int:
 DEFAULT_PARTISAN_PROGRAMS = ("json", "lcms", "libjpeg")
 
 
+def _run_budget_command(args, name, default_programs, run, rows,
+                        strict=lambda report: [], after=None) -> int:
+    """The loop ``partisan`` and ``profile`` share: per program, a budgeted
+    *run*, its summary, *rows*, ``--windows`` and ``--strict`` problems
+    (non-convergence plus *strict*); then *after* (True on failure),
+    ``--report-json``, ``--trace-out`` and PASS/FAIL."""
+    programs = [get_program(p) for p in (args.programs or default_programs)]
+    failed, payload, all_spans = False, [], []
+    for program in programs:
+        result = run(program, budget=args.budget, executions=args.executions,
+                     seed=args.seed, window=args.window,
+                     max_inputs=args.max_inputs)
+        report = result.report
+        lines = list(rows(report))
+        if args.windows:
+            lines += [window.summary for window in result.controller.windows]
+        if args.strict:
+            problems = strict(report)
+            if not report.converged:
+                problems.insert(0, f"NOT CONVERGED (budget {args.budget:+.3f})")
+            failed = failed or bool(problems)
+            lines += problems
+        print("\n".join([report.summary()] + [f"  {line}" for line in lines]))
+        payload.append(report.to_dict())
+        all_spans.extend(result.tracer.roots())
+
+    if after is not None:
+        failed = after(programs) or failed
+    if args.report_json:
+        with open(args.report_json, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        print(f"{name} report written to {args.report_json}")
+    if args.trace_out:
+        _write_trace_file(args.trace_out, all_spans)
+    print("FAIL" if failed else "PASS")
+    return 1 if failed else 0
+
+
+def _budget_parser(sub, name, help, default_programs, *, executions, window,
+                   strict, trace):
+    """The options ``partisan`` and ``profile`` share."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("programs", nargs="*", help=f"targets (default: "
+                        f"{' '.join(default_programs)})")
+    parser.add_argument("--budget", type=float, default=0.25,
+                        help="target fractional slowdown over clean")
+    parser.add_argument("--executions", type=int, default=executions)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--window", type=int, default=window,
+                        help="executions per controller window")
+    parser.add_argument("--max-inputs", type=int, default=4,
+                        help="seed-corpus inputs cycled through")
+    parser.add_argument("--windows", action="store_true",
+                        help="print every controller window")
+    parser.add_argument("--strict", action="store_true", help=strict)
+    parser.add_argument("--report-json", default=None,
+                        help="write the machine-readable report here")
+    parser.add_argument("--trace-out", default=None, help=trace)
+    return parser
+
+
 def cmd_partisan(args) -> int:
     """Run-time partitioned sanitization under an overhead budget."""
     from repro.check import check_clean_dispatch
     from repro.variants import run_partisan
 
-    programs = [
-        get_program(name)
-        for name in (args.programs or DEFAULT_PARTISAN_PROGRAMS)
-    ]
-    failed = False
-    payload = []
-    all_spans = []
-    for program in programs:
-        run = run_partisan(
-            program,
-            budget=args.budget,
-            executions=args.executions,
-            seed=args.seed,
-            mode=args.mode,
-            window=args.window,
-            dispatch_tax=args.dispatch_tax,
-            max_inputs=args.max_inputs,
-        )
-        report = run.report
-        print(report.summary())
+    def rows(report):
         for name in sorted(report.probes):
             cost = report.family_costs.get(name)
-            print(
-                f"  {name:>10}: {report.probes[name]:>3} live probes, "
+            yield (
+                f"{name:>10}: {report.probes[name]:>3} live probes, "
                 f"call share {report.call_shares.get(name, 0.0):.3f}, "
                 f"mix weight {report.mix_final.get(name, 0.0):.3f}"
                 + (f", cost {cost:.2f}x clean" if cost is not None else "")
             )
-        if args.windows:
-            for window in run.controller.windows:
-                print(f"  {window.summary}")
-        payload.append(report.to_dict())
-        all_spans.extend(run.tracer.roots())
-        if args.strict and not report.converged:
-            failed = True
-            print(f"  NOT CONVERGED (budget {args.budget:+.3f})")
 
-    if not args.no_check:
+    def clean_dispatch(programs) -> bool:
+        failed = False
         for program in programs:
-            variant_report = check_clean_dispatch(program, seed=args.seed)
-            print("\n".join(variant_report.lines()))
-            failed = failed or not variant_report.ok
+            report = check_clean_dispatch(program, seed=args.seed)
+            print("\n".join(report.lines()))
+            failed = failed or not report.ok
+        return failed
 
-    if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"partisan report written to {args.report_json}")
-    if args.trace_out:
-        _write_trace_file(args.trace_out, all_spans)
-    print("FAIL" if failed else "PASS")
-    return 1 if failed else 0
+    run = functools.partial(
+        run_partisan, mode=args.mode, dispatch_tax=args.dispatch_tax
+    )
+    return _run_budget_command(
+        args, "partisan", DEFAULT_PARTISAN_PROGRAMS, run, rows,
+        after=None if args.no_check else clean_dispatch,
+    )
 
 
 DEFAULT_PROFILE_PROGRAMS = ("json", "lcms")
@@ -430,65 +466,33 @@ def cmd_profile(args) -> int:
     """Budgeted call-path profiling through the patch tier."""
     from repro.profile import run_profile
 
-    programs = [
-        get_program(name)
-        for name in (args.programs or DEFAULT_PROFILE_PROGRAMS)
-    ]
-    failed = False
-    payload = []
-    all_spans = []
-    for program in programs:
-        run = run_profile(
-            program,
-            budget=args.budget,
-            executions=args.executions,
-            seed=args.seed,
-            window=args.window,
-            max_inputs=args.max_inputs,
-        )
-        report = run.report
-        print(report.summary())
+    def rows(report):
         for row in report.flat[: args.top]:
             state = "on " if row["enabled"] else "off"
-            print(
-                f"  [{state}] {row['symbol']:>16}: {row['calls']:>6} calls, "
+            yield (
+                f"[{state}] {row['symbol']:>16}: {row['calls']:>6} calls, "
                 f"incl {row['incl_cycles']:>9}, excl {row['excl_cycles']:>9}"
             )
         for edge in report.edges[: args.top]:
-            print(
-                f"  edge {edge['caller']} -> {edge['callee']}: "
-                f"{edge['calls']} calls"
-            )
+            yield (f"edge {edge['caller']} -> {edge['callee']}: "
+                   f"{edge['calls']} calls")
         if report.cold_instrumented:
-            print(f"  cold (still instrumented): "
-                  f"{', '.join(report.cold_instrumented)}")
+            yield (f"cold (still instrumented): "
+                   f"{', '.join(report.cold_instrumented)}")
         if report.unattributed:
-            print(f"  unattributed counter events: {report.unattributed}")
-        if args.windows:
-            for window in run.controller.windows:
-                print(f"  {window.summary}")
-        payload.append(report.to_dict())
-        all_spans.extend(run.tracer.roots())
-        if args.strict:
-            if not report.converged:
-                failed = True
-                print(f"  NOT CONVERGED (budget {args.budget:+.3f})")
-            if not report.toggles_patch_only:
-                failed = True
-                print(
-                    f"  TOGGLES COMPILED: {report.compile_batches} fragment "
-                    f"compiles in {report.rebuilds} toggle rebuilds "
-                    f"(tiers: {', '.join(report.rebuild_tiers)})"
-                )
+            yield f"unattributed counter events: {report.unattributed}"
 
-    if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"profile report written to {args.report_json}")
-    if args.trace_out:
-        _write_trace_file(args.trace_out, all_spans)
-    print("FAIL" if failed else "PASS")
-    return 1 if failed else 0
+    def toggles_compiled(report):
+        return [] if report.toggles_patch_only else [
+            f"TOGGLES COMPILED: {report.compile_batches} fragment "
+            f"compiles in {report.rebuilds} toggle rebuilds "
+            f"(tiers: {', '.join(report.rebuild_tiers)})"
+        ]
+
+    return _run_budget_command(
+        args, "profile", DEFAULT_PROFILE_PROGRAMS, run_profile, rows,
+        strict=toggles_compiled,
+    )
 
 
 def cmd_lint(args) -> int:
@@ -823,66 +827,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_check.set_defaults(fn=cmd_check)
 
-    p_partisan = sub.add_parser(
-        "partisan",
-        help="run-time partitioned sanitization under an overhead budget",
+    p_partisan = _budget_parser(
+        sub, "partisan",
+        "run-time partitioned sanitization under an overhead budget",
+        DEFAULT_PARTISAN_PROGRAMS, executions=720, window=60,
+        strict="fail if the controller did not converge",
+        trace="export build/deinstrument span trees here",
     )
-    p_partisan.add_argument(
-        "programs", nargs="*",
-        help=f"targets to run (default: {' '.join(DEFAULT_PARTISAN_PROGRAMS)})",
-    )
-    p_partisan.add_argument("--budget", type=float, default=0.25,
-                            help="target fractional slowdown over clean")
-    p_partisan.add_argument("--executions", type=int, default=720)
-    p_partisan.add_argument("--seed", type=int, default=1)
     p_partisan.add_argument(
         "--mode", default="per-call", choices=("per-call", "per-execution"),
         help="variant selection granularity (PartiSan's two policies)",
     )
-    p_partisan.add_argument("--window", type=int, default=60,
-                            help="executions per controller window")
     p_partisan.add_argument("--dispatch-tax", type=int, default=0,
                             help="cycles charged per dispatched call")
-    p_partisan.add_argument("--max-inputs", type=int, default=4,
-                            help="seed-corpus inputs cycled through")
-    p_partisan.add_argument("--windows", action="store_true",
-                            help="print every controller window")
-    p_partisan.add_argument("--strict", action="store_true",
-                            help="fail if the controller did not converge")
     p_partisan.add_argument("--no-check", action="store_true",
                             help="skip the clean-dispatch equivalence check")
-    p_partisan.add_argument("--report-json", default=None,
-                            help="write the machine-readable report here")
-    p_partisan.add_argument("--trace-out", default=None,
-                            help="export build/deinstrument span trees here")
     p_partisan.set_defaults(fn=cmd_partisan)
 
-    p_profile = sub.add_parser(
-        "profile",
-        help="budgeted call-path profiling through the patch tier",
+    p_profile = _budget_parser(
+        sub, "profile", "budgeted call-path profiling through the patch tier",
+        DEFAULT_PROFILE_PROGRAMS, executions=300, window=20,
+        strict="fail unless converged with patch-only toggles",
+        trace="export the call-path span tree here",
     )
-    p_profile.add_argument(
-        "programs", nargs="*",
-        help=f"targets to profile (default: {' '.join(DEFAULT_PROFILE_PROGRAMS)})",
-    )
-    p_profile.add_argument("--budget", type=float, default=0.25,
-                           help="target fractional slowdown over clean")
-    p_profile.add_argument("--executions", type=int, default=300)
-    p_profile.add_argument("--seed", type=int, default=1)
-    p_profile.add_argument("--window", type=int, default=20,
-                           help="executions per controller window")
-    p_profile.add_argument("--max-inputs", type=int, default=4,
-                           help="seed-corpus inputs cycled through")
     p_profile.add_argument("--top", type=int, default=8,
                            help="flat-profile and edge rows to print")
-    p_profile.add_argument("--windows", action="store_true",
-                           help="print every controller window")
-    p_profile.add_argument("--strict", action="store_true",
-                           help="fail unless converged with patch-only toggles")
-    p_profile.add_argument("--report-json", default=None,
-                           help="write the machine-readable report here")
-    p_profile.add_argument("--trace-out", default=None,
-                           help="export the call-path span tree here")
     p_profile.set_defaults(fn=cmd_profile)
 
     p_chaos = sub.add_parser(

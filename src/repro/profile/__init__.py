@@ -7,18 +7,17 @@ middle end, so the controller's toggles cost probe-site patches, not
 recompiles.
 """
 
-from repro.profile.controller import (
-    ProfileBudgetConfig,
-    ProfileOverheadController,
-    ProfileWindow,
-)
 from repro.profile.probes import (
     PROF_ENTER_RUNTIME,
     PROF_EXIT_RUNTIME,
     ProfEnterProbe,
     ProfExitProbe,
 )
-from repro.profile.runner import ProfileReport, ProfileRun, run_profile
+from repro.profile.runner import (
+    ProfileReport,
+    ToggleActuator,
+    run_profile,
+)
 from repro.profile.runtime import FunctionStats, PathNode, ProfilingRuntime
 from repro.profile.tool import Profiler
 
@@ -29,12 +28,9 @@ __all__ = [
     "PathNode",
     "ProfEnterProbe",
     "ProfExitProbe",
-    "ProfileBudgetConfig",
-    "ProfileOverheadController",
     "ProfileReport",
-    "ProfileRun",
-    "ProfileWindow",
     "Profiler",
     "ProfilingRuntime",
+    "ToggleActuator",
     "run_profile",
 ]

@@ -1,59 +1,169 @@
-"""Drive a program under budgeted profiling; report what happened.
+"""Budgeted profiling: the toggle actuator and ``run_profile``.
 
-:func:`run_profile` is the subsystem's front door (the CLI's
-``repro profile`` and the overhead benchmark both sit on it):
-
-1. build a clean engine and measure the baseline cycles of each seed
-   input (what "no instrumentation" costs);
-2. build a fully instrumented engine — enter/exit probes on every
-   defined function — under a :class:`~repro.profile.tool.Profiler`;
-3. run *executions* executions, feeding each cycle count to the
-   :class:`~repro.profile.controller.ProfileOverheadController`, which
-   de-instruments hot symbols (pure patch-tier toggles) until the
-   slowdown converges into the budget band;
-4. fold everything into a :class:`ProfileReport`: flat + call-path
-   profile, edges, de-instrumented vs. still-cold symbols, convergence,
-   and the toggle-rebuild tier evidence.
+:func:`run_profile` puts enter/exit probes on every defined function
+under a :class:`~repro.profile.tool.Profiler` and runs the shared budget
+loop (:mod:`repro.budget`) with a :class:`ToggleActuator`, the front
+door of ``repro profile`` and of the overhead benchmark.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
-from repro.core.engine import Odin
-from repro.fuzz.executor import PRESERVED, run_input
+from repro.budget import (
+    Actuator,
+    BudgetReport,
+    BudgetRun,
+    BudgetWindow,
+    run_budgeted,
+)
+from repro.core.engine import Odin, RebuildReport, TIER_NOOP, TIER_PATCH
+from repro.fuzz.executor import PRESERVED
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.programs.registry import TargetProgram
-from repro.profile.controller import (
-    ProfileBudgetConfig,
-    ProfileOverheadController,
-)
 from repro.profile.tool import Profiler
-from repro.vm.interpreter import VM
+from repro.programs.registry import TargetProgram
+
+#: Tiers a pure probe-toggle rebuild is allowed to land on.
+TOGGLE_TIERS = frozenset({TIER_PATCH, TIER_NOOP})
+
+
+class ToggleActuator(Actuator):
+    """Attributes each window's probe overhead to symbols exactly (every
+    prof event has a fixed cost-model price), de-instruments the hottest
+    symbols until the projection is back in the band, and re-instruments
+    one symbol per window when the budget frees up.  Every flip is a
+    patchable probe toggle, so each step lands on the engine's patch
+    tier; the rebuild reports are kept as evidence (:attr:`rebuilds`)."""
+
+    prefix = "profile"
+
+    def __init__(self, tool: Profiler):
+        self.tool = tool
+        #: Rebuild report of every actuation — the patch-tier evidence.
+        self.rebuilds: List[RebuildReport] = []
+        #: Symbol -> estimated overhead fraction it carried when flipped
+        #: off (the re-instrumentation ranking reads this).
+        self.deinstrumented: Dict[str, float] = {}
+        # Lifetime per-symbol probe-overhead cycles at the last window
+        # boundary; deltas give this window's overhead.
+        self._overhead_mark: Dict[str, int] = {}
+
+    @property
+    def fully_instrumented(self) -> bool:
+        return not self.deinstrumented
+
+    @property
+    def image(self):
+        return self.tool.engine.executable
+
+    def make_vm(self):
+        return self.tool.make_vm()
+
+    def observe(self, result) -> Optional[str]:
+        self.tool.runtime.finish_execution(result.cycles)
+        return None
+
+    @property
+    def toggles_patch_only(self) -> bool:
+        """Did every actuation land on the patch/noop tier (no compiles)?"""
+        return all(
+            tier in TOGGLE_TIERS
+            for report in self.rebuilds
+            for tier in report.fragment_tiers.values()
+        )
+
+    def step(self, window: BudgetWindow, window_baseline: int) -> None:
+        lo, hi = self.config.band
+        achieved = window.achieved_overhead
+        if achieved > hi:
+            window.deinstrumented = self._deinstrument(achieved, window_baseline)
+        elif achieved < lo:
+            window.reinstrumented = self._reinstrument(achieved)
+        if window.deinstrumented or window.reinstrumented:
+            window.rebuild_tier = self._rebuild()
+        self._overhead_mark = self.tool.runtime.symbol_overhead_cycles()
+
+    def _deinstrument(self, achieved: float, window_baseline: int) -> List[str]:
+        """Flip off the hottest symbols until the projected overhead is
+        back inside the band (without undershooting its floor)."""
+        cfg = self.config
+        lo, hi = cfg.band
+        if not window_baseline:
+            return []
+        # Probe-overhead cycles each symbol charged *this window*.
+        mark = self._overhead_mark
+        est = {
+            sym: (cyc - mark.get(sym, 0)) / window_baseline
+            for sym, cyc in self.tool.runtime.symbol_overhead_cycles().items()
+            if cyc > mark.get(sym, 0)
+            and sym not in cfg.protected and sym not in self.deinstrumented
+        }
+        flipped: List[str] = []
+        projected = achieved
+        while projected > hi and est:
+            if (
+                cfg.max_deinstrumented is not None
+                and len(self.deinstrumented) >= cfg.max_deinstrumented
+            ):
+                break
+            # A single flip that lands at or below the ceiling finishes
+            # the step: prefer the hottest one that stays inside the band,
+            # else the one undershooting the least.  If no single flip
+            # reaches the ceiling, strip the hottest and keep going.
+            fits = [s for s in est if projected - est[s] <= hi]
+            in_band = [s for s in fits if projected - est[s] >= lo]
+            if in_band:
+                pick = max(in_band, key=lambda s: (est[s], s))
+            elif fits:
+                pick = min(fits, key=lambda s: (est[s], s))
+            else:
+                pick = max(est, key=lambda s: (est[s], s))
+            if self.tool.set_symbol_probes_enabled(pick, False) == 0:
+                del est[pick]
+                continue
+            self.deinstrumented[pick] = est.pop(pick)
+            projected -= self.deinstrumented[pick]
+            flipped.append(pick)
+            self.metrics.inc("profile.deinstrumented")
+        return flipped
+
+    def _reinstrument(self, achieved: float) -> List[str]:
+        """Budget freed up: flip the coldest de-instrumented symbol back
+        on, provided its estimated cost fits under the band ceiling."""
+        hi = self.config.band[1]
+        for symbol in sorted(
+            self.deinstrumented, key=lambda s: (self.deinstrumented[s], s)
+        ):
+            if achieved + self.deinstrumented[symbol] > hi:
+                break  # sorted ascending: nothing hotter fits either
+            del self.deinstrumented[symbol]
+            if self.tool.set_symbol_probes_enabled(symbol, True) == 0:
+                continue
+            self.metrics.inc("profile.reinstrumented")
+            return [symbol]  # one per window: avoids oscillation
+        return []
+
+    def _rebuild(self) -> str:
+        report = self.tool.engine.rebuild_if_needed()
+        if report is None:
+            return TIER_NOOP
+        self.rebuilds.append(report)
+        self.metrics.set_gauge("profile.rebuild.patched", float(report.patched))
+        return report.tier
 
 
 @dataclass
-class ProfileReport:
+class ProfileReport(BudgetReport):
     """One budgeted profiling run, JSON-serializable."""
 
-    program: str
-    seed: int
-    budget: float
-    executions: int
     window: int
-    baseline_cycles: int
     profiled_cycles: int
-    achieved_overhead: float
-    final_window_overhead: Optional[float]
-    converged: bool
-    windows: int
     probes_total: int
     probes_enabled: int
     flat: List[dict]                 # per-symbol rows, hottest first
     edges: List[dict]                # caller -> callee call counts
-    deinstrumented: List[str]        # flipped off by the controller
     cold_instrumented: List[str]     # zero calls seen, still instrumented
     unattributed: int                # counter events with no live probe
     rebuilds: int                    # controller actuations
@@ -61,60 +171,12 @@ class ProfileReport:
     compile_batches: int             # fragments actually compiled by them
     toggles_patch_only: bool         # every actuation pure patch/noop
 
-    def to_dict(self) -> dict:
-        return {
-            "program": self.program,
-            "seed": self.seed,
-            "budget": self.budget,
-            "executions": self.executions,
-            "window": self.window,
-            "baseline_cycles": self.baseline_cycles,
-            "profiled_cycles": self.profiled_cycles,
-            "achieved_overhead": self.achieved_overhead,
-            "final_window_overhead": self.final_window_overhead,
-            "converged": self.converged,
-            "windows": self.windows,
-            "probes_total": self.probes_total,
-            "probes_enabled": self.probes_enabled,
-            "flat": [dict(row) for row in self.flat],
-            "edges": [dict(row) for row in self.edges],
-            "deinstrumented": list(self.deinstrumented),
-            "cold_instrumented": list(self.cold_instrumented),
-            "unattributed": self.unattributed,
-            "rebuilds": self.rebuilds,
-            "rebuild_tiers": list(self.rebuild_tiers),
-            "compile_batches": self.compile_batches,
-            "toggles_patch_only": self.toggles_patch_only,
-        }
-
     def summary(self) -> str:
-        deinst = (
-            f", de-instrumented: {', '.join(self.deinstrumented)}"
-            if self.deinstrumented
-            else ""
-        )
-        return (
-            f"{self.program}: {self.executions} executions, "
-            f"overhead {self.achieved_overhead:+.3f} vs budget "
-            f"{self.budget:+.3f} "
-            f"({'converged' if self.converged else 'not converged'}), "
+        return self._summary("", (
             f"{self.probes_enabled}/{self.probes_total} probes live, "
             f"{self.rebuilds} toggle rebuilds "
             f"({'patch-only' if self.toggles_patch_only else 'COMPILED'})"
-            f"{deinst}"
-        )
-
-
-@dataclass
-class ProfileRun:
-    """The report plus the live objects (for tests, benchmarks, traces)."""
-
-    report: ProfileReport
-    tool: Profiler
-    controller: ProfileOverheadController
-    engine: Odin
-    tracer: Tracer
-    metrics: MetricsRegistry
+        ))
 
 
 def run_profile(
@@ -125,134 +187,74 @@ def run_profile(
     seed: int = 1,
     window: int = 20,
     max_inputs: int = 4,
-    config: Optional[ProfileBudgetConfig] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-) -> ProfileRun:
+) -> BudgetRun:
     """Profile *program* under an overhead budget."""
-    inputs = program.seeds(seed)[:max_inputs]
-    if not inputs:
-        raise ValueError(f"program {program.name!r} has an empty seed corpus")
 
-    tracer = tracer if tracer is not None else Tracer()
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    def start(tracer, metrics):
+        # Clean baseline: an uninstrumented engine over the same module.
+        clean = Odin(program.compile(), preserve=PRESERVED)
+        clean.initial_build()
+        engine = Odin(program.compile(), preserve=PRESERVED, tracer=tracer)
+        tool = Profiler(engine, metrics=metrics)
+        tool.add_all_function_probes()
+        tool.build()
+        return ToggleActuator(tool), clean.executable
 
-    # Clean baseline: an uninstrumented engine over the same module.
-    clean = Odin(program.compile(), preserve=PRESERVED)
-    clean.initial_build()
-    baseline: List[int] = []
-    for data in inputs:
-        baseline.append(run_input(VM(clean.executable), data).cycles)
-
-    engine = Odin(program.compile(), preserve=PRESERVED, tracer=tracer)
-    tool = Profiler(engine, metrics=metrics)
-    tool.add_all_function_probes()
-    tool.build()
-    controller = ProfileOverheadController(
-        tool,
-        config
-        if config is not None
-        else ProfileBudgetConfig(
-            target_overhead=budget,
-            window=window,
-            protected=frozenset(PRESERVED),
-        ),
-        metrics=metrics,
+    run = run_budgeted(
+        program, start, budget=budget, window=window, executions=executions,
+        seed=seed, max_inputs=max_inputs, tracer=tracer, metrics=metrics,
     )
-
-    exe = engine.executable
-    vm = tool.make_vm()
-    baseline_total = 0
-    profiled_total = 0
-    for i in range(executions):
-        if engine.executable is not exe:
-            # The controller toggled probes and relinked mid-run.
-            exe = engine.executable
-            vm = tool.make_vm()
-        result = run_input(vm, inputs[i % len(inputs)])
-        tool.runtime.finish_execution(result.cycles)
-        base = baseline[i % len(inputs)]
-        baseline_total += base
-        profiled_total += result.cycles
-        controller.record_execution(result.cycles, base)
+    actuator: ToggleActuator = run.actuator
+    tool = actuator.tool
 
     # Final sync: runtime event counts -> probe.calls annotations; what
     # cannot be attributed any more lands in tool.unattributed.
     tool.sync_profiles(clear=True)
-    tool.runtime.publish(metrics)
-    tracer.record(tool.runtime.span_tree(f"profile:{program.name}"))
+    tool.runtime.publish(run.metrics)
+    run.tracer.record(tool.runtime.span_tree(f"profile:{program.name}"))
 
     runtime = tool.runtime
     enabled_symbols = {
         p.target_symbol() for p in tool.probes.values() if p.enabled
     }
-    flat = [
-        {
-            "symbol": stats.symbol,
-            "calls": stats.calls,
-            "incl_cycles": stats.incl_cycles,
-            "excl_cycles": stats.excl_cycles,
-            "enabled": stats.symbol in enabled_symbols,
-        }
-        for stats in sorted(
-            runtime.stats.values(),
-            key=lambda s: (-s.incl_cycles, s.symbol),
-        )
-    ]
-    edges = [
-        {"caller": caller, "callee": callee, "calls": count}
-        for (caller, callee), count in sorted(
-            runtime.edges.items(), key=lambda kv: (-kv[1], kv[0])
-        )
-    ]
     called = {sym for sym, stats in runtime.stats.items() if stats.calls}
-    cold = sorted(
-        sym
-        for sym in tool.probes.symbols()
-        if sym not in called and sym in enabled_symbols
-    )
-    compile_batches = sum(
-        1
-        for report in controller.rebuilds
-        for tier in report.fragment_tiers.values()
-        if tier in ("full", "memo")
-    )
-
-    report = ProfileReport(
-        program=program.name,
-        seed=seed,
-        budget=budget,
-        executions=executions,
-        window=window,
-        baseline_cycles=baseline_total,
-        profiled_cycles=profiled_total,
-        achieved_overhead=controller.achieved_overhead,
-        final_window_overhead=(
-            controller.windows[-1].achieved_overhead
-            if controller.windows
-            else None
-        ),
-        converged=controller.converged,
-        windows=len(controller.windows),
+    run.report = ProfileReport.of(
+        run,
+        window=run.controller.config.window,
+        profiled_cycles=run.controller.total_cycles,
         probes_total=len(tool.probes),
         probes_enabled=sum(
             1 for probe in tool.probes.values() if probe.enabled
         ),
-        flat=flat,
-        edges=edges,
-        deinstrumented=sorted(controller.deinstrumented),
-        cold_instrumented=cold,
+        flat=[
+            {**asdict(stats), "enabled": stats.symbol in enabled_symbols}
+            for stats in sorted(
+                runtime.stats.values(),
+                key=lambda s: (-s.incl_cycles, s.symbol),
+            )
+        ],
+        edges=[
+            {"caller": caller, "callee": callee, "calls": count}
+            for (caller, callee), count in sorted(
+                runtime.edges.items(), key=lambda kv: (-kv[1], kv[0])
+            )
+        ],
+        deinstrumented=sorted(actuator.deinstrumented),
+        cold_instrumented=sorted(
+            sym
+            for sym in tool.probes.symbols()
+            if sym not in called and sym in enabled_symbols
+        ),
         unattributed=tool.unattributed,
-        rebuilds=len(controller.rebuilds),
-        rebuild_tiers=[r.tier for r in controller.rebuilds],
-        compile_batches=compile_batches,
-        toggles_patch_only=controller.toggles_patch_only,
+        rebuilds=len(actuator.rebuilds),
+        rebuild_tiers=[r.tier for r in actuator.rebuilds],
+        compile_batches=sum(
+            tier in ("full", "memo")
+            for report in actuator.rebuilds
+            for tier in report.fragment_tiers.values()
+        ),
+        toggles_patch_only=actuator.toggles_patch_only,
     )
-    return ProfileRun(
-        report=report,
-        tool=tool,
-        controller=controller,
-        engine=engine,
-        tracer=tracer,
-        metrics=metrics,
-    )
+    return run

@@ -9,17 +9,16 @@ recompiles.
 """
 
 from repro.variants.builder import FamilyBuild, VariantBuilder
-from repro.variants.controller import (
-    BudgetController,
-    ControllerConfig,
-    WindowReport,
-)
 from repro.variants.dispatch import (
     MODE_PER_CALL,
     MODE_PER_EXECUTION,
     VariantSelector,
 )
-from repro.variants.runner import PartisanReport, PartisanRun, run_partisan
+from repro.variants.runner import (
+    MixActuator,
+    PartisanReport,
+    run_partisan,
+)
 from repro.variants.spec import (
     FAMILY_CLEAN,
     FAMILY_COVERAGE,
@@ -30,11 +29,9 @@ from repro.variants.spec import (
 )
 
 __all__ = [
-    "BudgetController", "ControllerConfig",
     "FAMILY_CLEAN", "FAMILY_COVERAGE", "FAMILY_SANITIZED", "FamilyBuild",
-    "MODE_PER_CALL", "MODE_PER_EXECUTION",
-    "PartisanReport", "PartisanRun",
+    "MixActuator", "MODE_PER_CALL", "MODE_PER_EXECUTION",
+    "PartisanReport",
     "VariantBuilder", "VariantFamily", "VariantSelector", "VariantSpec",
-    "WindowReport",
     "default_spec", "run_partisan",
 ]

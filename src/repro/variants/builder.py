@@ -21,10 +21,10 @@ merged image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.core.engine import Odin, RebuildReport
+from repro.core.engine import Odin
 from repro.instrument.base import SanitizerTool
 from repro.linker.cache import LinkCache
 from repro.linker.variants import VariantExecutable, link_variants
@@ -39,17 +39,11 @@ CAT_PARTISAN = "partisan"
 
 @dataclass
 class FamilyBuild:
-    """One family's engine, tools and build outcome."""
+    """One family's engine and tools."""
 
     family: VariantFamily
     engine: Odin
     tools: List[SanitizerTool]
-    probes: int
-    build_report: RebuildReport
-
-    @property
-    def name(self) -> str:
-        return self.family.name
 
 
 class VariantBuilder:
@@ -106,13 +100,9 @@ class VariantBuilder:
                         variant_label=family.name,
                     )
                     tools = family.install(engine, trap=self.trap)
-                    report = engine.initial_build()
+                    engine.initial_build()
                     self.builds[family.name] = FamilyBuild(
-                        family=family,
-                        engine=engine,
-                        tools=tools,
-                        probes=sum(len(t.probes) for t in tools),
-                        build_report=report,
+                        family=family, engine=engine, tools=tools
                     )
             return self.relink()
 
@@ -135,8 +125,11 @@ class VariantBuilder:
         return self.builds[family]
 
     def probe_counts(self) -> Dict[str, int]:
-        """Live (enabled, registered) probe count per family."""
-        return {name: fb.probes for name, fb in self.builds.items()}
+        """Live (enabled) probe count per family."""
+        return {
+            name: sum(p.enabled for t in fb.tools for p in t.probes.values())
+            for name, fb in self.builds.items()
+        }
 
     # -- execution --------------------------------------------------------------
 
@@ -201,23 +194,4 @@ class VariantBuilder:
             if flipped:
                 self.relink()
                 self.deinstrumented.append(symbol)
-        return flipped
-
-    def reinstrument_symbol(self, symbol: str) -> Dict[str, int]:
-        """Inverse of :meth:`deinstrument_symbol`: re-enable and relink."""
-        flipped: Dict[str, int] = {}
-        with self.tracer.span(
-            "partisan.reinstrument", cat=CAT_PARTISAN, symbol=symbol
-        ):
-            for name, fb in self.builds.items():
-                changed = 0
-                for tool in fb.tools:
-                    changed += tool.set_symbol_probes_enabled(symbol, True)
-                if changed:
-                    fb.engine.rebuild_if_needed()
-                    flipped[name] = changed
-            if flipped:
-                self.relink()
-                if symbol in self.deinstrumented:
-                    self.deinstrumented.remove(symbol)
         return flipped

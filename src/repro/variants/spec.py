@@ -105,16 +105,6 @@ class VariantSpec:
                     f"family {family.name!r} has negative weight {family.weight}"
                 )
 
-    @property
-    def names(self) -> List[str]:
-        return [f.name for f in self.families]
-
-    def family(self, name: str) -> VariantFamily:
-        for fam in self.families:
-            if fam.name == name:
-                return fam
-        raise KeyError(name)
-
     def initial_mix(self) -> Dict[str, float]:
         """Starting dispatch weights, family name -> weight."""
         return {f.name: f.weight for f in self.families}

@@ -1,11 +1,10 @@
-"""ProfileOverheadController: windowed budget control over probe toggles."""
+"""The budget loop with the profiling ToggleActuator: windowed budget
+control over probe toggles."""
 
+from repro.budget import BudgetConfig, BudgetController
 from repro.core.engine import Odin
 from repro.ir.parser import parse_module
-from repro.profile.controller import (
-    ProfileBudgetConfig,
-    ProfileOverheadController,
-)
+from repro.profile.runner import ToggleActuator
 from repro.profile.runtime import PROF_ENTER_COST, PROF_EXIT_COST
 from repro.profile.tool import Profiler
 
@@ -38,11 +37,11 @@ def make_controller(config=None):
     tool = Profiler(engine)
     tool.add_all_function_probes()
     tool.build()
-    controller = ProfileOverheadController(
-        tool,
+    controller = BudgetController(
+        ToggleActuator(tool),
         config
         if config is not None
-        else ProfileBudgetConfig(
+        else BudgetConfig(
             target_overhead=0.25, window=4, protected=frozenset({"main"})
         ),
     )
@@ -76,7 +75,7 @@ class TestWindowing:
         )
         w = controller.windows[0]
         assert not w.deinstrumented and not w.reinstrumented
-        assert not controller.rebuilds
+        assert not controller.actuator.rebuilds
 
 
 class TestDeinstrument:
@@ -97,13 +96,13 @@ class TestDeinstrument:
         )
         w = controller.windows[0]
         assert w.deinstrumented == ["hot"]
-        assert "hot" in controller.deinstrumented
+        assert "hot" in controller.actuator.deinstrumented
         assert all(
             not p.enabled
             for p in tool.probes.values()
             if p.target_symbol() == "hot"
         )
-        assert controller.toggles_patch_only
+        assert controller.actuator.toggles_patch_only
         assert w.rebuild_tier == "patch"
 
     def test_protected_symbol_never_flipped(self):
@@ -111,7 +110,7 @@ class TestDeinstrument:
         window_base = 1000 * controller.config.window
         calls = int(window_base * 0.80) // PER_CALL
         feed_window(controller, tool, 1000, calls * PER_CALL, {"main": calls})
-        assert "main" not in controller.deinstrumented
+        assert "main" not in controller.actuator.deinstrumented
         assert all(
             p.enabled
             for p in tool.probes.values()
@@ -159,13 +158,13 @@ class TestReinstrument:
         )
         w = controller.windows[1]
         assert w.reinstrumented == ["warm"]
-        assert "warm" not in controller.deinstrumented
+        assert "warm" not in controller.actuator.deinstrumented
         assert all(
             p.enabled
             for p in tool.probes.values()
             if p.target_symbol() == "warm"
         )
-        assert controller.toggles_patch_only
+        assert controller.actuator.toggles_patch_only
 
 
 class TestConvergence:
@@ -185,11 +184,11 @@ class TestConvergence:
         for _ in range(3):
             feed_window(controller, tool, 1000, 0, {})
         assert controller.converged
-        assert not controller.deinstrumented
+        assert not controller.actuator.deinstrumented
 
     def test_not_converged_above_band(self):
         tool, controller = make_controller(
-            ProfileBudgetConfig(
+            BudgetConfig(
                 target_overhead=0.25,
                 window=4,
                 protected=frozenset({"main", "hot", "warm"}),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.profile import ProfileBudgetConfig, run_profile
+from repro.profile import run_profile
 from repro.programs.registry import get_program
 
 
@@ -75,12 +75,14 @@ class TestRunProfile:
             get_program("lcms"),
             executions=40,
             window=10,
-            config=ProfileBudgetConfig(
-                target_overhead=5.0,  # huge budget: nothing to remove
-                window=10,
-                protected=frozenset({"main", "run_input"}),
-            ),
+            budget=5.0,  # huge budget: nothing to remove
         )
+        # The report records what the controller ran, not a second copy.
+        config = run.controller.config
+        assert config.protected == {"main", "run_input"}
+        assert (run.report.budget, run.report.window) == (5.0, 10)
+        assert (config.target_overhead, config.window) == (5.0, 10)
+        assert run.report.windows == 4
         assert not run.report.deinstrumented
         assert run.report.probes_enabled == run.report.probes_total
         assert run.report.converged  # under the floor, fully instrumented

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.budget import BudgetConfig, BudgetController
 from repro.obs.metrics import MetricsRegistry
-from repro.programs.registry import get_program
 from repro.variants.builder import VariantBuilder
-from repro.variants.controller import BudgetController, ControllerConfig
 from repro.variants.dispatch import VariantSelector
+from repro.variants.runner import MixActuator
 from repro.fuzz.executor import PRESERVED
 from repro.variants.spec import FAMILY_CLEAN, FAMILY_COVERAGE, FAMILY_SANITIZED
 
@@ -16,7 +16,7 @@ def make_controller(json_builder, **cfg):
     defaults = dict(target_overhead=0.25, window=5, protected=frozenset(PRESERVED))
     defaults.update(cfg)
     controller = BudgetController(
-        json_builder, selector, ControllerConfig(**defaults)
+        MixActuator(json_builder, selector), BudgetConfig(**defaults)
     )
     return selector, controller
 
@@ -26,7 +26,7 @@ def feed_window(controller, overhead, *, baseline=1000, calls=None):
     *calls* optionally simulates call traffic first."""
     for name, n in (calls or {}).items():
         for _ in range(n):
-            controller.selector.select(name, FAMILY_CLEAN)
+            controller.actuator.selector.select(name, FAMILY_CLEAN)
     for _ in range(controller.config.window):
         controller.record_execution(int(baseline * (1 + overhead)), baseline)
 
@@ -40,11 +40,12 @@ class TestConfigValidation:
             {"window": 0},
             {"hot_call_share": 0.0},
             {"hot_call_share": 1.5},
+            {"tolerance": -0.1},
         ],
     )
     def test_rejects_bad_config(self, bad):
         with pytest.raises(ValueError):
-            ControllerConfig(**bad)
+            BudgetConfig(**bad)
 
 
 class TestMixControl:
@@ -100,7 +101,7 @@ class TestDeinstrumentation:
         )
         assert builder.deinstrumented == ["parse_object"]
         assert selector.pinned["parse_object"] == FAMILY_CLEAN
-        assert controller.windows[-1].deinstrumented == "parse_object"
+        assert controller.windows[-1].deinstrumented == ["parse_object"]
         assert controller.metrics.counter("partisan.deinstrumented") == 1
         assert controller.metrics.counter("partisan.probes.flipped") > 0
         # The recompile is visible in the shared span tree.
@@ -153,17 +154,17 @@ class TestMetrics:
         metrics = MetricsRegistry()
         selector = VariantSelector(json_builder.spec.initial_mix(), seed=1)
         controller = BudgetController(
-            json_builder,
-            selector,
-            ControllerConfig(target_overhead=0.25, window=10),
+            MixActuator(json_builder, selector),
+            BudgetConfig(target_overhead=0.25, window=10),
             metrics=metrics,
         )
         for _ in range(5):
             controller.record_execution(1000, 1000, FAMILY_CLEAN)
             controller.record_execution(3000, 1000, FAMILY_SANITIZED)
-        assert controller.family_cost(FAMILY_CLEAN) == pytest.approx(1.0)
-        assert controller.family_cost(FAMILY_SANITIZED) == pytest.approx(3.0)
-        assert controller.family_cost(FAMILY_COVERAGE) is None
+        costs = controller.actuator.family_costs()
+        assert costs[FAMILY_CLEAN] == pytest.approx(1.0)
+        assert costs[FAMILY_SANITIZED] == pytest.approx(3.0)
+        assert FAMILY_COVERAGE not in costs
         assert metrics.gauge("partisan.window.overhead") == pytest.approx(1.0)
         assert metrics.counter("partisan.windows") == 1
         for family in selector.mix:
